@@ -25,7 +25,7 @@ from .kernels import (BivariatePreActivation, DegenerateInputError,
                       lrelu_kernel, lrelu_mean, single_layer_kernel_with_bias)
 from .mmd import convergence_experiment, limiting_hyper, mmd2_unbiased, \
     permutation_null
-from .special import (BvnArgs, DegenerateCorrelationError, bvn_cdf, bvn_pdf,
-                      erf, std_normal_cdf, std_normal_pdf)
+from .special import (DegenerateCorrelationError, bvn_cdf, bvn_pdf, erf,
+                      std_normal_cdf, std_normal_pdf)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .finite_net import IIDGaussian, NetworkShape, activations, get_scheme, \
 from .gp import GPModel, posterior_predictive, sample_prior, circle_traversal
 from .hyper import GridSpec, HyperPrior, MHConfig, grid_eval, \
     marginal_predictive, mh_sample, substitute_hyper
-from .kernels import LayerHyper, NetworkHyper, kernel_matrix
+from .kernels import LayerHyper, NetworkHyper, constant_hyper, kernel_matrix
 from .mmd import convergence_experiment
 
 __all__ = ["main"]
@@ -91,11 +91,13 @@ def _parse_widths(text: str):
 
 
 def _template(args, input_dim: int) -> NetworkHyper:
-    layers = [LayerHyper(args.mu, np.sqrt(args.sigma2))] * (args.depth - 1)
-    layers.append(LayerHyper(0.0, 1.0))
-    if args.depth == 1:
-        layers = [LayerHyper(args.mu, np.sqrt(args.sigma2))]
-    return NetworkHyper(args.slope, input_dim, tuple(layers), True)
+    # --depth - 1 LReLU layers with (--mu, --sigma2) and a linear (0, 1)
+    # output layer; at depth 1 the one linear layer takes (--mu, --sigma2)
+    layer = LayerHyper(args.mu, np.sqrt(args.sigma2))
+    layers = [layer] * max(args.depth - 1, 1)
+    if args.depth > 1:
+        layers.append(LayerHyper(0.0, 1.0))
+    return NetworkHyper(args.slope, input_dim, tuple(layers))
 
 
 def _mse(pred, truth) -> float:
@@ -110,9 +112,8 @@ def cmd_kernel_curve(args) -> int:
     thetas = np.linspace(0.0, np.pi, args.n_theta)
     rot_rng = np.random.default_rng(_subseed(args.seed, "rotations"))
     weight_rng = np.random.default_rng(_subseed(args.seed, "weights"))
-    net = NetworkHyper(args.slope, 2,
-                       tuple([LayerHyper(args.mu, np.sqrt(args.sigma2))] * args.depth),
-                       final_layer_linear=False)
+    net = constant_hyper(args.mu, np.sqrt(args.sigma2), args.depth, 2,
+                         args.slope, final_layer_linear=False)
     rows = []
     header = ["theta0", "kernel"]
     if args.empirical_width:
@@ -136,20 +137,25 @@ def cmd_kernel_curve(args) -> int:
     return 0
 
 
-def _fit_point(dataset, template, spec, estimator, noise_var):
-    target = "log-ml" if estimator.startswith("mle") else "log-posterior"
-    result = grid_eval(dataset.X_train, dataset.y_train, template, spec,
-                       target=target, noise_var=noise_var)
-    point = result.argmax_mu0 if estimator.endswith("-mu0") else result.argmax
-    return point, result
+def _grid_map_chain(args, dataset, template):
+    """Hyper-posterior grid MAP, then an MH chain started there."""
+    surface = grid_eval(dataset.X_train, dataset.y_train, template, args.grid,
+                        target="log-posterior", noise_var=args.noise_var)
+    init = surface.argmax[:2]
+    config = MHConfig(burn_in=args.burn_in, thin=args.thin,
+                      n_samples=args.mh_samples,
+                      seed=_subseed(args.seed, "chain"))
+    chain = mh_sample(dataset.X_train, dataset.y_train, template, HyperPrior(),
+                      config, init, noise_var=args.noise_var)
+    return init, chain
 
 
 def cmd_fit(args) -> int:
     """Fit by grid MLE/MAP (optionally mu = 0 constrained) or by the
     MH-marginalised predictive; writes a JSON report and a predictive CSV."""
     dataset = _load_dataset(args.dataset, args.seed)
+    X, y = dataset.X_train, dataset.y_train
     template = _template(args, dataset.input_dim)
-    spec = args.grid
     report = {
         "dataset": args.dataset,
         "estimator": args.estimator,
@@ -159,22 +165,11 @@ def cmd_fit(args) -> int:
         "seed": args.seed,
     }
     if args.estimator == "marginal":
-        surface = grid_eval(dataset.X_train, dataset.y_train, template, spec,
-                            target="log-posterior", noise_var=args.noise_var)
-        init = surface.argmax[:2]
-        config = MHConfig(burn_in=args.burn_in, thin=args.thin,
-                          n_samples=args.mh_samples,
-                          seed=_subseed(args.seed, "chain"))
-        chain = mh_sample(dataset.X_train, dataset.y_train, template,
-                          HyperPrior(), config, init, noise_var=args.noise_var)
-        pred_test = marginal_predictive(dataset.X_test, dataset.X_train,
-                                        dataset.y_train, template, chain,
+        init, chain = _grid_map_chain(args, dataset, template)
+        pred_test = marginal_predictive(dataset.X_test, X, y, template, chain,
                                         noise_var=args.noise_var)
-        pred_train = marginal_predictive(dataset.X_train, dataset.X_train,
-                                         dataset.y_train, template, chain,
+        pred_train = marginal_predictive(X, X, y, template, chain,
                                          noise_var=args.noise_var)
-        mean_test, var_test = pred_test.mean, pred_test.var
-        mean_train = pred_train.mean
         report["chain"] = {
             "acceptance_rate": chain.acceptance_rate,
             "map": chain.map_estimate(),
@@ -184,28 +179,27 @@ def cmd_fit(args) -> int:
             "skipped_predictions": pred_test.n_skipped,
         }
     else:
-        (mu, sig2, value), surface = _fit_point(dataset, template, spec,
-                                                args.estimator, args.noise_var)
-        net = substitute_hyper(template, mu, sig2)
-        model = GPModel(net, args.noise_var)
-        pp_test = posterior_predictive(dataset.X_test, dataset.X_train,
-                                       dataset.y_train, model)
-        pp_train = posterior_predictive(dataset.X_train, dataset.X_train,
-                                        dataset.y_train, model)
-        mean_test, var_test = pp_test.mean, pp_test.var
-        mean_train = pp_train.mean
+        target = "log-ml" if args.estimator.startswith("mle") else \
+            "log-posterior"
+        surface = grid_eval(X, y, template, args.grid, target=target,
+                            noise_var=args.noise_var)
+        mu, sig2, value = surface.argmax_mu0 \
+            if args.estimator.endswith("-mu0") else surface.argmax
+        model = GPModel(substitute_hyper(template, mu, sig2), args.noise_var)
+        pred_test = posterior_predictive(dataset.X_test, X, y, model)
+        pred_train = posterior_predictive(X, X, y, model)
         report["hyperparameters"] = {"mu": mu, "sigma2": sig2,
                                      "objective": value}
         report["grid_failed_cells"] = surface.n_failed
-    report["train_mse"] = _mse(mean_train, dataset.y_train)
-    report["test_mse"] = _mse(mean_test, dataset.y_test)
+    report["train_mse"] = _mse(pred_train.mean, y)
+    report["test_mse"] = _mse(pred_test.mean, dataset.y_test)
     out = Path(args.out)
     _write_json(out, report)
     d = dataset.input_dim
     header = [f"x{i + 1}" for i in range(d)] + ["y_true", "pred_mean", "pred_var"]
     rows = [[_fmt(v) for v in row] + [_fmt(t), _fmt(m), _fmt(s)]
             for row, t, m, s in zip(dataset.X_test, dataset.y_test,
-                                    mean_test, var_test)]
+                                    pred_test.mean, pred_test.var)]
     _write_csv(out.with_suffix(".csv"), header, rows)
     return 0
 
@@ -244,15 +238,8 @@ def cmd_grid(args) -> int:
 def cmd_mh(args) -> int:
     """Hyper-posterior MH chain as CSV (mu, sigma2, log_density)."""
     dataset = _load_dataset(args.dataset, args.seed)
-    template = _template(args, dataset.input_dim)
-    surface = grid_eval(dataset.X_train, dataset.y_train, template, args.grid,
-                        target="log-posterior", noise_var=args.noise_var)
-    init = surface.argmax[:2]
-    config = MHConfig(burn_in=args.burn_in, thin=args.thin,
-                      n_samples=args.mh_samples,
-                      seed=_subseed(args.seed, "chain"))
-    chain = mh_sample(dataset.X_train, dataset.y_train, template, HyperPrior(),
-                      config, init, noise_var=args.noise_var)
+    init, chain = _grid_map_chain(args, dataset,
+                                  _template(args, dataset.input_dim))
     rows = [[_fmt(mu), _fmt(s2), _fmt(ld)]
             for (mu, s2), ld in zip(chain.samples, chain.log_densities)]
     _write_csv(args.out, ["mu", "sigma2", "log_density"], rows)
@@ -282,11 +269,8 @@ def cmd_prior_draws(args) -> int:
     """GP prior draws along a random great circle, as CSV columns."""
     points = circle_traversal(args.dim, args.n_points,
                               _subseed(args.seed, "probes"))
-    net = NetworkHyper(args.slope, args.dim,
-                       tuple([LayerHyper(args.mu, np.sqrt(args.sigma2))] * (args.depth - 1)
-                             + [LayerHyper(0.0, 1.0)]),
-                       final_layer_linear=True)
-    draws = sample_prior(points, GPModel(net, 0.0), args.n_draws,
+    draws = sample_prior(points, GPModel(_template(args, args.dim), 0.0),
+                         args.n_draws,
                          _subseed(args.seed, "draws"))
     t = np.linspace(0.0, 2.0 * np.pi, args.n_points, endpoint=False)
     header = ["t"] + [f"draw_{i + 1}" for i in range(args.n_draws)]
@@ -296,7 +280,7 @@ def cmd_prior_draws(args) -> int:
     return 0
 
 
-def _add_common(p, dataset=False, grid=False, hyper=True):
+def _add_common(p, dataset=False, mh=False):
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", required=True, help="output path (CSV or JSON)")
     if dataset:
@@ -304,17 +288,19 @@ def _add_common(p, dataset=False, grid=False, hyper=True):
                        help="sine | xor | snelson:PATH")
         p.add_argument("--noise-var", type=float, default=0.1,
                        help="observation noise variance")
-    if grid:
         p.add_argument("--grid", type=_parse_grid,
                        default=GridSpec(),
                        help="mu_lo:mu_hi:sig_lo:sig_hi[:res], default "
                             "-2.5:1.0:0.1:8.0:200")
-    if hyper:
-        p.add_argument("--depth", type=int, default=2, help="number of layers")
-        p.add_argument("--slope", type=float, default=0.0, help="LReLU slope")
-        p.add_argument("--mu", type=float, default=0.0, help="layer weight mean")
-        p.add_argument("--sigma2", type=float, default=2.0,
-                       help="layer weight variance")
+    p.add_argument("--depth", type=int, default=2, help="number of layers")
+    p.add_argument("--slope", type=float, default=0.0, help="LReLU slope")
+    p.add_argument("--mu", type=float, default=0.0, help="layer weight mean")
+    p.add_argument("--sigma2", type=float, default=2.0,
+                   help="layer weight variance")
+    if mh:
+        p.add_argument("--mh-samples", type=int, default=100)
+        p.add_argument("--burn-in", type=int, default=20)
+        p.add_argument("--thin", type=int, default=20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,24 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel_curve)
 
     p = sub.add_parser("fit", help="GP regression with a chosen estimator")
-    _add_common(p, dataset=True, grid=True)
+    _add_common(p, dataset=True, mh=True)
     p.add_argument("--estimator", choices=ESTIMATORS, required=True)
-    p.add_argument("--mh-samples", type=int, default=100)
-    p.add_argument("--burn-in", type=int, default=20)
-    p.add_argument("--thin", type=int, default=20)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("grid", help="evidence / hyper-posterior surface")
-    _add_common(p, dataset=True, grid=True)
+    _add_common(p, dataset=True)
     p.add_argument("--target", choices=("log-ml", "log-posterior"),
                    default="log-ml")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("mh", help="hyper-posterior MH chain")
-    _add_common(p, dataset=True, grid=True)
-    p.add_argument("--mh-samples", type=int, default=100)
-    p.add_argument("--burn-in", type=int, default=20)
-    p.add_argument("--thin", type=int, default=20)
+    _add_common(p, dataset=True, mh=True)
     p.set_defaults(func=cmd_mh)
 
     p = sub.add_parser("mmd", help="finite-width convergence MMD^2 curve")
@@ -376,11 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "depth", 1) < 1:
-        build_parser().error("--depth must be >= 1")
-    if getattr(args, "sigma2", 1.0) <= 0.0:
-        build_parser().error("--sigma2 must be positive")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.depth < 1:
+        parser.error("--depth must be >= 1")
+    if args.sigma2 <= 0.0:
+        parser.error("--sigma2 must be positive")
     return args.func(args)
 
 

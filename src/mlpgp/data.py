@@ -92,13 +92,12 @@ def gen_smooth_xor(seed: int) -> Dataset:
     )
 
 
-def load_snelson(path, seed: int = 0) -> Dataset:
+def load_snelson(path) -> Dataset:
     """Load the 200-pair Snelson data and split 10 train / 190 test.
 
     The file must hold 200 whitespace-separated (x, y) rows.  Rows are
     sorted by x and the training set takes 10 equally spaced ranks
-    (endpoints included); the split is deterministic, `seed` is accepted
-    only for pipeline uniformity.
+    (endpoints included); the split is deterministic.
     """
     xs, ys = [], []
     with open(path) as fh:

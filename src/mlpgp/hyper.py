@@ -180,6 +180,27 @@ def substitute_hyper(net_template: NetworkHyper, mu: float, sigma2: float,
                         tuple(layers), net_template.final_layer_linear)
 
 
+def _log_target(X, y, net_template: NetworkHyper, prior: Optional[HyperPrior],
+                noise_var: float, mu: float, sigma2: float):
+    """(log p(y | mu, sigma^2) [+ log hyper-prior], jitter) at one point.
+
+    The value is -inf, with jitter 0, where the Gram matrix cannot be
+    factorised or the evidence is not finite.
+    """
+    net = substitute_hyper(net_template, mu, sigma2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lml, jit = log_marginal_likelihood(
+                X, y, GPModel(net, noise_var), return_jitter=True)
+    except (FactorizationError, VanishedSignalError, FloatingPointError):
+        return -np.inf, 0.0
+    if not np.isfinite(lml):
+        return -np.inf, 0.0
+    if prior is not None:
+        lml += hyper_prior_logpdf(mu, sigma2, prior)
+    return lml, jit
+
+
 def gp_log_posterior(X, y, net_template: NetworkHyper,
                      prior: Optional[HyperPrior], noise_var: float) -> Callable:
     """log p(y | mu, sigma^2) (+ log hyper-prior when one is given).
@@ -191,17 +212,8 @@ def gp_log_posterior(X, y, net_template: NetworkHyper,
         mu, sigma2 = float(theta[0]), float(theta[1])
         if sigma2 <= 0.0 or not np.isfinite(mu) or not np.isfinite(sigma2):
             return -np.inf
-        net = substitute_hyper(net_template, mu, sigma2)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                lml = log_marginal_likelihood(X, y, GPModel(net, noise_var))
-        except (FactorizationError, VanishedSignalError, FloatingPointError):
-            return -np.inf
-        if not np.isfinite(lml):
-            return -np.inf
-        if prior is not None:
-            lml += hyper_prior_logpdf(mu, sigma2, prior)
-        return lml
+        return _log_target(X, y, net_template, prior, noise_var, mu,
+                           sigma2)[0]
 
     return logp
 
@@ -217,7 +229,9 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     """
     if target not in ("log-ml", "log-posterior"):
         raise ValueError("target must be 'log-ml' or 'log-posterior'")
-    if target == "log-posterior" and prior is None:
+    if target == "log-ml":
+        prior = None
+    elif prior is None:
         prior = HyperPrior()
     mu_axis, sig2_axis = spec.axes()
     values = np.empty((mu_axis.size, sig2_axis.size))
@@ -225,22 +239,12 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     jitter_events = 0
     for i, mu in enumerate(mu_axis):
         for j, s2 in enumerate(sig2_axis):
-            val = -np.inf
-            try:
-                net = substitute_hyper(net_template, float(mu), float(s2))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    lml, jit = log_marginal_likelihood(
-                        X, y, GPModel(net, noise_var), return_jitter=True)
-                if np.isfinite(lml):
-                    jitter_events += jit > 0.0
-                    val = lml
-                    if target == "log-posterior":
-                        val += hyper_prior_logpdf(float(mu), float(s2), prior)
-            except (FactorizationError, VanishedSignalError,
-                    FloatingPointError):
-                pass
+            val, jit = _log_target(X, y, net_template, prior, noise_var,
+                                   float(mu), float(s2))
             if val == -np.inf:
                 n_failed += 1
+            elif jit > 0.0:
+                jitter_events += 1
             values[i, j] = val
     if not np.any(np.isfinite(values)):
         raise FactorizationError("every grid cell failed to factorise")

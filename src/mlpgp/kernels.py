@@ -302,6 +302,17 @@ def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
     return s1, s2, rho, t1, t2
 
 
+def _moment_step(s1, s2, rho, t1, t2, a: float) -> KernelState:
+    # LReLU moment maps of the (x, x), (y, y) and (x, y) pre-activation
+    # pairs, then of the two means
+    return KernelState(
+        lrelu_kernel(BivariatePreActivation(s1, s1, 1.0, t1, t1), a),
+        lrelu_kernel(BivariatePreActivation(s2, s2, 1.0, t2, t2), a),
+        lrelu_kernel(BivariatePreActivation(s1, s2, rho, t1, t2), a),
+        lrelu_mean(t1, s1, a),
+        lrelu_mean(t2, s2, a))
+
+
 def input_state(x, y, first_layer: LayerHyper, n0: int, a: float) -> KernelState:
     """Post-activation state after layer one.
 
@@ -309,20 +320,11 @@ def input_state(x, y, first_layer: LayerHyper, n0: int, a: float) -> KernelState
     std-dev sigma * ||x|| / sqrt(n0); one LReLU moment step turns that into
     the layer-one (k, m) state.
     """
-    s1, s2, rho, t1, t2 = _first_layer_preactivation(x, y, first_layer, n0)
-    scalar = np.ndim(x) == 1 and np.ndim(y) == 1
-    k_xx = lrelu_kernel(BivariatePreActivation(s1, s1, 1.0, t1, t1), a)
-    k_yy = lrelu_kernel(BivariatePreActivation(s2, s2, 1.0, t2, t2), a)
-    k_xy = lrelu_kernel(BivariatePreActivation(s1, s2, rho, t1, t2), a)
-    m_x = lrelu_mean(t1, s1, a)
-    m_y = lrelu_mean(t2, s2, a)
-    if scalar:
-        return KernelState(float(np.asarray(k_xx).squeeze()),
-                           float(np.asarray(k_yy).squeeze()),
-                           float(np.asarray(k_xy).squeeze()),
-                           float(np.asarray(m_x).squeeze()),
-                           float(np.asarray(m_y).squeeze()))
-    return KernelState(k_xx, k_yy, k_xy, m_x, m_y)
+    state = _moment_step(*_first_layer_preactivation(x, y, first_layer, n0), a)
+    if np.ndim(x) == 1 and np.ndim(y) == 1:
+        return KernelState(*(float(np.asarray(v).squeeze())
+                             for v in vars(state).values()))
+    return state
 
 
 def layer_step(state: KernelState, layer: LayerHyper, a: float,
@@ -338,17 +340,11 @@ def layer_step(state: KernelState, layer: LayerHyper, a: float,
     if np.any(k_xx < VANISHED_TOL) or np.any(k_yy < VANISHED_TOL):
         bad = min(float(np.min(k_xx)), float(np.min(k_yy)))
         raise VanishedSignalError(layer_index, bad)
-    s1 = layer.sigma * np.sqrt(k_xx)
-    s2 = layer.sigma * np.sqrt(k_yy)
-    rho = np.clip(np.asarray(state.k_xy) / np.sqrt(k_xx * k_yy), -1.0, 1.0)
-    t1 = layer.mu * np.asarray(state.m_x, dtype=float)
-    t2 = layer.mu * np.asarray(state.m_y, dtype=float)
-    new_xx = lrelu_kernel(BivariatePreActivation(s1, s1, 1.0, t1, t1), a)
-    new_yy = lrelu_kernel(BivariatePreActivation(s2, s2, 1.0, t2, t2), a)
-    new_xy = lrelu_kernel(BivariatePreActivation(s1, s2, rho, t1, t2), a)
-    new_mx = lrelu_mean(t1, s1, a)
-    new_my = lrelu_mean(t2, s2, a)
-    return KernelState(new_xx, new_yy, new_xy, new_mx, new_my)
+    return _moment_step(
+        layer.sigma * np.sqrt(k_xx), layer.sigma * np.sqrt(k_yy),
+        np.clip(np.asarray(state.k_xy) / np.sqrt(k_xx * k_yy), -1.0, 1.0),
+        layer.mu * np.asarray(state.m_x, dtype=float),
+        layer.mu * np.asarray(state.m_y, dtype=float), a)
 
 
 def _recurse(x, y, net: NetworkHyper):

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 
 from .finite_net import (DEFAULT_END_SIGMA, IIDGaussian, NetworkShape,
                          RCEScheme, WeightScheme, forward, sample_weights)
-from .gp import FactorizationError, _chol_with_jitter
+from .gp import FactorizationError, GPModel, _chol_with_jitter, sample_prior
 from .kernels import LayerHyper, NetworkHyper, VanishedSignalError, \
     kernel_matrix
 
@@ -26,6 +26,14 @@ def _gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(-cdist(u, v, "sqeuclidean"))
 
 
+def _mmd2_from_blocks(kxx, kyy, kxy) -> float:
+    # unbiased MMD^2 from the within- and between-set gram blocks
+    n, m = kxy.shape
+    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+    return float(term_x + term_y - 2.0 * kxy.mean())
+
+
 def mmd2_unbiased(xs, ys) -> float:
     """Unbiased U-statistic estimate of MMD^2 with kernel exp(-||u - v||^2).
 
@@ -39,12 +47,7 @@ def mmd2_unbiased(xs, ys) -> float:
         raise ValueError("unbiased MMD^2 needs at least two samples per set")
     if xs.shape[1] != ys.shape[1]:
         raise ValueError("sample sets must share the probe dimension")
-    kxx = _gram(xs, xs)
-    kyy = _gram(ys, ys)
-    kxy = _gram(xs, ys)
-    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
-    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
-    return float(term_x + term_y - 2.0 * kxy.mean())
+    return _mmd2_from_blocks(_gram(xs, xs), _gram(ys, ys), _gram(xs, ys))
 
 
 def _null_band_from_gram(G, n, m, n_perm, seed, quantiles):
@@ -229,13 +232,10 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, end_sigma, seed_seq,
 
 
 def _gp_samples(scheme, depth, S, n_samples, a, end_sigma, seed_seq):
-    rng = np.random.default_rng(seed_seq)
-    random_hyper = isinstance(scheme, RCEScheme) and scheme.random_hyper
-    if not random_hyper:
+    if not (isinstance(scheme, RCEScheme) and scheme.random_hyper):
         net = limiting_hyper(scheme, depth, S.shape[1], a, end_sigma)
-        K = kernel_matrix(S, S, net)
-        L, _ = _chol_with_jitter(K)
-        return rng.standard_normal((n_samples, S.shape[0])) @ L.T
+        return sample_prior(S, GPModel(net, 0.0), n_samples, seed_seq)
+    rng = np.random.default_rng(seed_seq)
     n_internal = max(depth - 2, 0)
     out = np.empty((n_samples, S.shape[0]))
     for i in range(n_samples):
@@ -296,11 +296,7 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
         # one pooled gram serves both the estimate and its null band
         n, m = xs.shape[0], ys.shape[0]
         G = _gram(np.vstack([xs, ys]), np.vstack([xs, ys]))
-        kxx = G[:n, :n]
-        kyy = G[n:, n:]
-        mmd2[i] = ((kxx.sum() - np.trace(kxx)) / (n * (n - 1))
-                   + (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
-                   - 2.0 * G[:n, n:].mean())
+        mmd2[i] = _mmd2_from_blocks(G[:n, :n], G[n:, n:], G[:n, n:])
         lo[i], hi[i] = _null_band_from_gram(G, n, m, n_perm,
                                             perm_children[i],
                                             (0.025, 0.975))

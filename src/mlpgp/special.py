@@ -6,21 +6,16 @@ quadrature on the single-integral form, with the usual change of variable for
 correlations beyond 0.925.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy import special as _sps
 
 __all__ = [
-    "BvnArgs",
     "DegenerateCorrelationError",
     "erf",
     "std_normal_pdf",
     "std_normal_cdf",
     "bvn_pdf",
     "bvn_cdf",
-    "sgn",
-    "heaviside",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -51,27 +46,9 @@ class DegenerateCorrelationError(ValueError):
     """Raised where |rho| = 1 makes a density undefined."""
 
 
-class BvnArgs(NamedTuple):
-    """Argument triple (h, k, rho) for the bivariate normal functions."""
-
-    h: float
-    k: float
-    rho: float
-
-
 def erf(z):
     """Error function, vectorized."""
     return _sps.erf(z)
-
-
-def sgn(z):
-    """Sign function (-1, 0, 1)."""
-    return np.sign(z)
-
-
-def heaviside(z):
-    """Heaviside step with the half-maximum convention at 0."""
-    return np.heaviside(z, 0.5)
 
 
 def std_normal_pdf(z):

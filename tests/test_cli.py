@@ -136,6 +136,21 @@ def test_prior_draws_output(tmp_path):
     assert float(rows[0][0]) == 0.0
 
 
+def test_prior_draws_depth_one_uses_hyperparameters(tmp_path):
+    # depth 1 is a single linear layer with (--mu, --sigma2); at mu = 0 its
+    # draws scale with sqrt(sigma2)
+    cols = {}
+    for s2 in ("1", "4"):
+        out = tmp_path / f"draws{s2}.csv"
+        main(["prior-draws", "--dim", "3", "--depth", "1", "--mu", "0",
+              "--sigma2", s2, "--n-points", "12", "--n-draws", "2",
+              "--seed", "1", "--out", str(out)])
+        _, rows = _read_csv(out)
+        cols[s2] = np.array(rows, dtype=float)[:, 1:]
+    assert np.allclose(cols["4"], 2.0 * cols["1"], rtol=1e-12, atol=0)
+    assert np.any(cols["1"] != 0.0)
+
+
 def test_byte_identical_reruns(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

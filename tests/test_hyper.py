@@ -79,6 +79,22 @@ def test_grid_eval_failed_cells_become_neg_inf():
     assert np.isfinite(res.argmax[2])
 
 
+def test_grid_eval_cells_match_gp_log_posterior():
+    # both share one per-point evaluator: every cell, -inf ones included,
+    # equals the MH target at the same (mu, sigma^2)
+    ds = gen_sine(1)
+    deep = NetworkHyper(0.0, 1, tuple([LayerHyper(0.0, 1.0)] * 8), True)
+    spec = GridSpec((-2.5, 1.0), (0.1, 8.0), 6)
+    for target, prior in (("log-ml", None), ("log-posterior", HyperPrior())):
+        res = grid_eval(ds.X_train, ds.y_train, deep, spec, target, 0.1)
+        logp = gp_log_posterior(ds.X_train, ds.y_train, deep, prior, 0.1)
+        want = [[logp((mu, s2)) for s2 in res.sig2_axis]
+                for mu in res.mu_axis]
+        assert np.array_equal(res.values, want)
+        assert res.n_failed > 0
+        assert type(res.n_failed) is int and type(res.jitter_events) is int
+
+
 def test_grid_constrained_max_tracks_stable_ridge():
     # for deeper nets the mu = 0 evidence maximum sits near sigma^2 = 2
     ds = gen_sine(1)

@@ -84,7 +84,8 @@ def test_limiting_hyper_structure():
 
 def test_fast_sampler_matches_reference_distribution():
     S = np.random.default_rng(0).standard_normal((4, 10))
-    for scheme in (get_scheme("f1"), get_scheme("f3"), IIDGaussian(0.0, SQRT2)):
+    for scheme in (get_scheme("f1"), get_scheme("f2"), get_scheme("f3"),
+                   get_scheme("f4"), IIDGaussian(0.0, SQRT2)):
         fast = _mlp_samples(scheme, 4, 96, S, 3000, 0.0, SQRT2,
                             np.random.SeedSequence(1))
         ref = _mlp_samples_reference(scheme, 4, 96, S, 3000, 0.0, SQRT2,

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mlpgp.special import (BvnArgs, DegenerateCorrelationError, bvn_cdf,
-                           bvn_pdf, erf, heaviside, sgn, std_normal_cdf,
-                           std_normal_pdf)
+from mlpgp.special import (DegenerateCorrelationError, bvn_cdf, bvn_pdf, erf,
+                           std_normal_cdf, std_normal_pdf)
 
 from _oracles import bvn_cdf_oracle
 
@@ -27,11 +26,6 @@ def test_std_normal_pdf_cdf():
     assert np.all(np.diff(cdf) > 0)
     # pdf integrates to one (trapezoid over a wide window)
     assert abs(np.trapezoid(std_normal_pdf(z), z) - 1.0) < 1e-10
-
-
-def test_trivial_step_helpers():
-    assert sgn(-2.0) == -1 and sgn(0.0) == 0 and sgn(3.0) == 1
-    assert heaviside(-1.0) == 0.0 and heaviside(0.0) == 0.5 and heaviside(2.0) == 1.0
 
 
 def test_bvn_pdf_closed_forms():
@@ -103,11 +97,6 @@ def test_bvn_cdf_strong_correlation_accuracy():
         for h, k in [(0.3, 0.5), (-1.2, 0.8), (2.0, -2.0)]:
             want = bvn_cdf_oracle(h, k, rho)
             assert abs(bvn_cdf(h, k, rho) - want) < 5e-14
-
-
-def test_bvn_args_tuple():
-    args = BvnArgs(0.0, 0.0, 0.5)
-    assert abs(bvn_cdf(*args) - (0.25 + np.arcsin(0.5) / (2 * np.pi))) < 1e-14
 
 
 def test_bvn_cdf_vectorized():
