@@ -90,10 +90,12 @@ def _parse_widths(text: str):
     return widths
 
 
-def _template(args, input_dim: int) -> NetworkHyper:
-    # --depth - 1 LReLU layers with (--mu, --sigma2) and a linear (0, 1)
-    # output layer; at depth 1 the one linear layer takes (--mu, --sigma2)
-    layer = LayerHyper(args.mu, np.sqrt(args.sigma2))
+def _template(args, input_dim: int, mu: float = 0.0,
+              sigma2: float = 2.0) -> NetworkHyper:
+    # --depth - 1 LReLU layers with (mu, sigma2) and a linear (0, 1) output
+    # layer; at depth 1 the one linear layer takes (mu, sigma2).  fit, grid
+    # and mh keep the defaults: substitute_hyper replaces all those layers
+    layer = LayerHyper(mu, np.sqrt(sigma2))
     layers = [layer] * max(args.depth - 1, 1)
     if args.depth > 1:
         layers.append(LayerHyper(0.0, 1.0))
@@ -230,8 +232,8 @@ def cmd_grid(args) -> int:
     }
     _write_json(out.with_suffix(".json"), meta)
     if result.n_failed:
-        print(f"warning: {result.n_failed} grid cells failed to factorise",
-              file=sys.stderr)
+        print(f"warning: {result.n_failed} grid cells are -inf "
+              "(Gram not factorisable or signal vanished)", file=sys.stderr)
     return 0
 
 
@@ -269,8 +271,8 @@ def cmd_prior_draws(args) -> int:
     """GP prior draws along a random great circle, as CSV columns."""
     points = circle_traversal(args.dim, args.n_points,
                               _subseed(args.seed, "probes"))
-    draws = sample_prior(points, GPModel(_template(args, args.dim), 0.0),
-                         args.n_draws,
+    net = _template(args, args.dim, args.mu, args.sigma2)
+    draws = sample_prior(points, GPModel(net, 0.0), args.n_draws,
                          _subseed(args.seed, "draws"))
     t = np.linspace(0.0, 2.0 * np.pi, args.n_points, endpoint=False)
     header = ["t"] + [f"draw_{i + 1}" for i in range(args.n_draws)]
@@ -294,9 +296,12 @@ def _add_common(p, dataset=False, mh=False):
                             "-2.5:1.0:0.1:8.0:200")
     p.add_argument("--depth", type=int, default=2, help="number of layers")
     p.add_argument("--slope", type=float, default=0.0, help="LReLU slope")
-    p.add_argument("--mu", type=float, default=0.0, help="layer weight mean")
-    p.add_argument("--sigma2", type=float, default=2.0,
-                   help="layer weight variance")
+    if not dataset:
+        # fit, grid and mh take (mu, sigma2) from the grid and the chain
+        p.add_argument("--mu", type=float, default=0.0,
+                       help="layer weight mean")
+        p.add_argument("--sigma2", type=float, default=2.0,
+                       help="layer weight variance")
     if mh:
         p.add_argument("--mh-samples", type=int, default=100)
         p.add_argument("--burn-in", type=int, default=20)
@@ -360,7 +365,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.depth < 1:
         parser.error("--depth must be >= 1")
-    if args.sigma2 <= 0.0:
+    if args.command == "mmd" and args.depth < 2:
+        parser.error("mmd needs --depth >= 2 for a hidden layer")
+    if "sigma2" in args and args.sigma2 <= 0.0:
         parser.error("--sigma2 must be positive")
     return args.func(args)
 

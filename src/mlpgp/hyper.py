@@ -156,8 +156,7 @@ def hyper_prior_logpdf(mu: float, sigma2: float,
               - (mu - prior.mu_mean) ** 2 / (2.0 * prior.mu_var))
     log_s2 = (a * np.log(b) - math.lgamma(a) - (a + 1.0) * np.log(sigma2)
               - b / sigma2)
-    out = log_mu + log_s2
-    return float(out) if out.ndim == 0 else out
+    return log_mu + log_s2
 
 
 def substitute_hyper(net_template: NetworkHyper, mu: float, sigma2: float,

@@ -3,9 +3,12 @@
 Single-layer second moments for linear / absolute-value / leaky-ReLU units
 under Gaussian pre-activations with non-zero means, and the deep recursion
 that propagates the five-number state (k_xx, k_yy, k_xy, m_x, m_y) through
-the layers.  All formula-level operations broadcast over numpy arrays, which
-is what makes `kernel_matrix` cheap: the whole Gram recursion runs on
-(N, 1) / (1, M) / (N, M) shaped states.
+the layers.  The internal moment maps take a pre-activation pair (G1, G2)
+with std-devs s1, s2, correlation rho and means t1, t2 as plain broadcast-
+compatible floats or arrays, and check nothing: `LayerHyper`, `NetworkHyper`
+and the recursion's zero-norm and vanished-signal checks keep them on their
+domain.  Broadcasting is what makes `kernel_matrix` cheap: the whole Gram
+recursion runs on (N, 1) / (1, M) / (N, M) shaped states.
 
 The recursion carries unnormalised post-activation second moments plus the
 post-activation means; each step rescales by the incoming layer's (mu, sigma).
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
+from scipy.special import erf
 
-from .special import bvn_cdf, bvn_pdf, erf, std_normal_cdf, std_normal_pdf
+from .special import bvn_cdf, bvn_pdf, std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "ArrayLike",
@@ -27,14 +31,7 @@ __all__ = [
     "LayerHyper",
     "NetworkHyper",
     "constant_hyper",
-    "BivariatePreActivation",
     "KernelState",
-    "linear_kernel",
-    "folded_mean",
-    "abs_kernel",
-    "cross_term",
-    "lrelu_kernel",
-    "lrelu_mean",
     "input_state",
     "layer_step",
     "deep_kernel",
@@ -128,30 +125,6 @@ def constant_hyper(mu: float, sigma: float, depth: int, input_dim: int,
 
 
 @dataclass
-class BivariatePreActivation:
-    """Moments of a correlated Gaussian pre-activation pair.
-
-    s1, s2 are the standard deviations, rho the correlation, t1, t2 the
-    means.  Fields may be broadcast-compatible arrays.
-    """
-
-    s1: ArrayLike
-    s2: ArrayLike
-    rho: ArrayLike
-    t1: ArrayLike
-    t2: ArrayLike
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.s1) <= 0.0) or np.any(np.asarray(self.s2) <= 0.0):
-            raise DegenerateInputError("pre-activation std-devs must be positive")
-        if np.any(np.abs(np.asarray(self.rho)) > 1.0 + 1e-9):
-            raise ValueError("correlation must lie in [-1, 1]")
-
-    def swapped(self) -> "BivariatePreActivation":
-        return BivariatePreActivation(self.s2, self.s1, self.rho, self.t2, self.t1)
-
-
-@dataclass
 class KernelState:
     """Five-number state driving the deep recursion.
 
@@ -166,24 +139,15 @@ class KernelState:
     m_y: ArrayLike
 
 
-def _maybe_float(x: np.ndarray) -> ArrayLike:
-    return float(x) if np.ndim(x) == 0 else x
+def linear_kernel(s1, s2, rho, t1, t2) -> ArrayLike:
+    """E[G1 G2] = s1 s2 rho + t1 t2.  Domain: any finite floats."""
+    return s1 * s2 * rho + t1 * t2
 
 
-def linear_kernel(p: BivariatePreActivation) -> ArrayLike:
-    """E[G1 G2] for the pre-activation pair: s1 s2 rho + t1 t2."""
-    return _maybe_float(np.asarray(p.s1 * p.s2 * p.rho + p.t1 * p.t2))
-
-
-def folded_mean(mu_t: ArrayLike, sigma_t: ArrayLike) -> ArrayLike:
-    """E|G| for G ~ N(mu_t, sigma_t^2), the folded Gaussian mean."""
-    mu_t = np.asarray(mu_t, dtype=float)
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    if np.any(sigma_t <= 0.0):
-        raise DegenerateInputError("sigma_t must be positive")
+def folded_mean(mu_t, sigma_t) -> ArrayLike:
+    """E|G| for G ~ N(mu_t, sigma_t^2), sigma_t > 0: the folded mean."""
     mt = mu_t / sigma_t
-    out = mu_t * erf(mt / _SQRT2) + 2.0 * sigma_t * std_normal_pdf(mt)
-    return _maybe_float(out)
+    return mu_t * erf(mt / _SQRT2) + 2.0 * sigma_t * std_normal_pdf(mt)
 
 
 def _abs_moment_colinear(b1, b2):
@@ -200,12 +164,9 @@ def _abs_moment_colinear(b1, b2):
     return 1.0 + b1 * b2 - 2.0 * mid
 
 
-def abs_kernel(p: BivariatePreActivation) -> ArrayLike:
-    """E|G1||G2| for the pre-activation pair (folded Gaussian cross moment)."""
-    s1, s2, rho, t1, t2 = np.broadcast_arrays(
-        np.asarray(p.s1, dtype=float), np.asarray(p.s2, dtype=float),
-        np.asarray(p.rho, dtype=float), np.asarray(p.t1, dtype=float),
-        np.asarray(p.t2, dtype=float))
+def abs_kernel(s1, s2, rho, t1, t2) -> np.ndarray:
+    """E|G1||G2| (folded Gaussian cross moment); s1, s2 > 0, |rho| <= 1."""
+    s1, s2, rho, t1, t2 = np.broadcast_arrays(s1, s2, rho, t1, t2)
     rho = np.clip(rho, -1.0, 1.0)
     m1 = t1 / s1
     m2 = t2 / s2
@@ -234,54 +195,41 @@ def abs_kernel(p: BivariatePreActivation) -> ArrayLike:
         term4 = 4.0 * sin2[regular] * bvn_pdf(m1r, m2r, r)
         out[regular] = s1r * s2r * (term1 + term2 + term3 + term4)
 
-    return _maybe_float(out)
+    return out
 
 
-def cross_term(p: BivariatePreActivation) -> ArrayLike:
+def cross_term(s1, s2, rho, t1, t2) -> ArrayLike:
     """E[G1 |G2|] for the pre-activation pair.
 
-    Rotation trick: with Q = Z + t2/s2, the moment reduces to univariate
-    folded moments E|Q| and E[Theta(Q) Q^2].
+    Domain: s1, s2 > 0 and |rho| <= 1.  Rotation trick: with Q = Z + t2/s2,
+    the moment reduces to univariate folded moments E|Q| and E[Theta(Q) Q^2].
     """
-    s1 = np.asarray(p.s1, dtype=float)
-    s2 = np.asarray(p.s2, dtype=float)
-    rho = np.clip(np.asarray(p.rho, dtype=float), -1.0, 1.0)
-    m1 = np.asarray(p.t1, dtype=float) / s1
-    m2 = np.asarray(p.t2, dtype=float) / s2
+    rho = np.clip(rho, -1.0, 1.0)
+    m1 = t1 / s1
+    m2 = t2 / s2
     e_abs_q = m2 * erf(m2 / _SQRT2) + 2.0 * std_normal_pdf(m2)
     e_theta_q2 = (1.0 + m2 * m2) * std_normal_cdf(m2) + m2 * std_normal_pdf(m2)
     e_q_abs_q = 2.0 * e_theta_q2 - (1.0 + m2 * m2)
-    out = s1 * s2 * (rho * (e_q_abs_q - m2 * e_abs_q) + m1 * e_abs_q)
-    return _maybe_float(np.asarray(out))
+    return s1 * s2 * (rho * (e_q_abs_q - m2 * e_abs_q) + m1 * e_abs_q)
 
 
-def lrelu_kernel(p: BivariatePreActivation, a: float) -> ArrayLike:
+def lrelu_kernel(s1, s2, rho, t1, t2, a: float) -> ArrayLike:
     """E[psi_a(G1) psi_a(G2)] with psi_a(z) = max(az, z).
 
-    Assembled from the split psi(z) = ((1+a) z + (1-a)|z|)/2 as the quarter-
-    weighted sum of the linear, two cross, and absolute-value moments.
+    Domain: s1, s2 > 0, |rho| <= 1 and -1 < a <= 1.  Assembled from the
+    split psi(z) = ((1+a) z + (1-a)|z|)/2 as the quarter-weighted sum of the
+    linear, two cross, and absolute-value moments.
     """
-    if not (-1.0 < a <= 1.0):
-        raise ValueError("LReLU slope must lie in (-1, 1]")
-    lin = linear_kernel(p)
-    if a == 1.0:
-        return lin
-    cross = cross_term(p) + cross_term(p.swapped())
-    out = 0.25 * ((1.0 + a) ** 2 * np.asarray(lin)
-                  + (1.0 - a * a) * np.asarray(cross)
-                  + (1.0 - a) ** 2 * np.asarray(abs_kernel(p)))
-    return _maybe_float(out)
+    lin = linear_kernel(s1, s2, rho, t1, t2)
+    cross = cross_term(s1, s2, rho, t1, t2) + cross_term(s2, s1, rho, t2, t1)
+    return 0.25 * ((1.0 + a) ** 2 * lin
+                   + (1.0 - a * a) * cross
+                   + (1.0 - a) ** 2 * abs_kernel(s1, s2, rho, t1, t2))
 
 
-def lrelu_mean(mu_t: ArrayLike, sigma_t: ArrayLike, a: float) -> ArrayLike:
-    """E[psi_a(G)] for G ~ N(mu_t, sigma_t^2)."""
-    if not (-1.0 < a <= 1.0):
-        raise ValueError("LReLU slope must lie in (-1, 1]")
-    mu_t = np.asarray(mu_t, dtype=float)
-    if a == 1.0:
-        return _maybe_float(mu_t)
-    out = 0.5 * ((1.0 + a) * mu_t + (1.0 - a) * np.asarray(folded_mean(mu_t, sigma_t)))
-    return _maybe_float(out)
+def lrelu_mean(mu_t, sigma_t, a: float) -> ArrayLike:
+    """E[psi_a(G)] for G ~ N(mu_t, sigma_t^2), sigma_t > 0, -1 < a <= 1."""
+    return 0.5 * ((1.0 + a) * mu_t + (1.0 - a) * folded_mean(mu_t, sigma_t))
 
 
 def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
@@ -306,9 +254,9 @@ def _moment_step(s1, s2, rho, t1, t2, a: float) -> KernelState:
     # LReLU moment maps of the (x, x), (y, y) and (x, y) pre-activation
     # pairs, then of the two means
     return KernelState(
-        lrelu_kernel(BivariatePreActivation(s1, s1, 1.0, t1, t1), a),
-        lrelu_kernel(BivariatePreActivation(s2, s2, 1.0, t2, t2), a),
-        lrelu_kernel(BivariatePreActivation(s1, s2, rho, t1, t2), a),
+        lrelu_kernel(s1, s1, 1.0, t1, t1, a),
+        lrelu_kernel(s2, s2, 1.0, t2, t2, a),
+        lrelu_kernel(s1, s2, rho, t1, t2, a),
         lrelu_mean(t1, s1, a),
         lrelu_mean(t2, s2, a))
 
@@ -318,13 +266,10 @@ def input_state(x, y, first_layer: LayerHyper, n0: int, a: float) -> KernelState
 
     The first-layer pre-activation for input x has mean mu * mean(x) and
     std-dev sigma * ||x|| / sqrt(n0); one LReLU moment step turns that into
-    the layer-one (k, m) state.
+    the layer-one (k, m) state.  Its fields are (N, M)-shaped for N rows x
+    and M rows y; a single input vector counts as one row.
     """
-    state = _moment_step(*_first_layer_preactivation(x, y, first_layer, n0), a)
-    if np.ndim(x) == 1 and np.ndim(y) == 1:
-        return KernelState(*(float(np.asarray(v).squeeze())
-                             for v in vars(state).values()))
-    return state
+    return _moment_step(*_first_layer_preactivation(x, y, first_layer, n0), a)
 
 
 def layer_step(state: KernelState, layer: LayerHyper, a: float,
@@ -352,18 +297,16 @@ def _recurse(x, y, net: NetworkHyper):
     layers = net.layers
     depth = len(layers)
     if net.final_layer_linear and depth == 1:
-        s1, s2, rho, t1, t2 = _first_layer_preactivation(x, y, layers[0],
-                                                         net.input_dim)
-        return linear_kernel(BivariatePreActivation(s1, s2, rho, t1, t2))
+        return linear_kernel(*_first_layer_preactivation(x, y, layers[0],
+                                                         net.input_dim))
     state = input_state(x, y, layers[0], net.input_dim, net.slope_a)
     last_hidden = depth - 1 if net.final_layer_linear else depth
     for l in range(2, last_hidden + 1):
         state = layer_step(state, layers[l - 1], net.slope_a, layer_index=l)
     if net.final_layer_linear:
         out = layers[-1]
-        return (out.sigma ** 2 * np.asarray(state.k_xy)
-                + out.mu ** 2 * np.asarray(state.m_x) * np.asarray(state.m_y))
-    return np.asarray(state.k_xy)
+        return out.sigma ** 2 * state.k_xy + out.mu ** 2 * state.m_x * state.m_y
+    return state.k_xy
 
 
 def deep_kernel(x, y, net: NetworkHyper) -> float:
@@ -372,7 +315,7 @@ def deep_kernel(x, y, net: NetworkHyper) -> float:
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("deep_kernel expects single input vectors")
-    return float(np.asarray(_recurse(x, y, net)).squeeze())
+    return float(_recurse(x, y, net)[0, 0])
 
 
 def kernel_matrix(X, Y, net: NetworkHyper) -> np.ndarray:
@@ -383,7 +326,7 @@ def kernel_matrix(X, Y, net: NetworkHyper) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    K = np.asarray(_recurse(X, Y, net))
+    K = _recurse(X, Y, net)
     if X.shape == Y.shape and np.array_equal(X, Y):
         K = 0.5 * (K + K.T)
     return K
@@ -412,8 +355,10 @@ def single_layer_kernel_with_bias(x1, x2, mu, sigma_diag, a: float) -> float:
 
     Inputs are augmented with a trailing 1; mu and sigma_diag cover the
     augmented coordinates (weights first, bias last), sigma_diag holding the
-    diagonal of the weight covariance.
+    diagonal of the weight covariance.  The slope a must lie in (-1, 1].
     """
+    if not (-1.0 < a <= 1.0):
+        raise ValueError("LReLU slope must lie in (-1, 1]")
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x1.shape != x2.shape or x1.ndim != 1:
@@ -431,5 +376,4 @@ def single_layer_kernel_with_bias(x1, x2, mu, sigma_diag, a: float) -> float:
     if s1 == 0.0 or s2 == 0.0:
         raise DegenerateInputError("stretched input has zero scale")
     rho = float(np.clip(np.sum(sig * x1h * x2h) / (s1 * s2), -1.0, 1.0))
-    p = BivariatePreActivation(s1, s2, rho, float(mu @ x1h), float(mu @ x2h))
-    return float(np.asarray(lrelu_kernel(p, a)))
+    return float(lrelu_kernel(s1, s2, rho, float(mu @ x1h), float(mu @ x2h), a))

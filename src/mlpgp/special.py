@@ -1,6 +1,7 @@
-"""Scalar special functions: Gaussian pdf/cdf, their bivariate counterparts, erf.
+"""Special functions: the Gaussian pdf/cdf and their bivariate counterparts.
 
-All functions accept scalars or numpy arrays and broadcast elementwise.  The
+All functions accept scalars or numpy arrays, broadcast elementwise and
+return numpy values (a 0-d array or numpy scalar for scalar input).  The
 bivariate CDF follows the Drezner-Wesolowsky/Genz algorithm: Gauss-Legendre
 quadrature on the single-integral form, with the usual change of variable for
 correlations beyond 0.925.
@@ -11,7 +12,6 @@ from scipy import special as _sps
 
 __all__ = [
     "DegenerateCorrelationError",
-    "erf",
     "std_normal_pdf",
     "std_normal_cdf",
     "bvn_pdf",
@@ -46,23 +46,16 @@ class DegenerateCorrelationError(ValueError):
     """Raised where |rho| = 1 makes a density undefined."""
 
 
-def erf(z):
-    """Error function, vectorized."""
-    return _sps.erf(z)
-
-
 def std_normal_pdf(z):
     """Standard normal density phi(z)."""
     z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def std_normal_cdf(z):
     """Standard normal CDF Phi(z) via erfc for accuracy in both tails."""
     z = np.asarray(z, dtype=float)
-    out = 0.5 * _sps.erfc(-z / np.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * _sps.erfc(-z / np.sqrt(2.0))
 
 
 def bvn_pdf(h, k, rho):
@@ -79,8 +72,7 @@ def bvn_pdf(h, k, rho):
             "bivariate normal density is degenerate at |rho| = 1")
     omr2 = (1.0 - rho) * (1.0 + rho)
     quad = (h * h - 2.0 * rho * h * k + k * k) / (2.0 * omr2)
-    out = np.exp(-quad) * _INV_2PI / np.sqrt(omr2)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-quad) * _INV_2PI / np.sqrt(omr2)
 
 
 def _bvn_cdf_moderate(h, k, rho):
@@ -166,5 +158,4 @@ def bvn_cdf(h, k, rho):
     if np.any(moderate):
         out[moderate] = _bvn_cdf_moderate(h[moderate], k[moderate], rho[moderate])
 
-    out = np.clip(out, 0.0, 1.0).reshape(shape)
-    return float(out) if out.ndim == 0 else out
+    return np.clip(out, 0.0, 1.0).reshape(shape)

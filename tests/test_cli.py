@@ -178,6 +178,22 @@ def test_flag_validation(tmp_path):
               "--out", str(tmp_path / "f.json")])
 
 
+@pytest.mark.parametrize("argv", [
+    # fit, grid and mh take (mu, sigma2) from the grid and the chain
+    ["grid", "--dataset", "sine", "--mu", "1"],
+    ["fit", "--dataset", "sine", "--estimator", "mle", "--sigma2", "3"],
+    ["mh", "--dataset", "sine", "--mu", "1", "--mh-samples", "2"],
+    # the MMD experiment needs a hidden layer
+    ["mmd", "--scheme", "f1", "--depth", "1", "--widths", "4",
+     "--mmd-samples", "10"],
+])
+def test_usage_errors_exit_two(tmp_path, argv):
+    grid = ["--grid=-1.0:0.0:1.0:2.0:2"] if argv[0] != "mmd" else []
+    with pytest.raises(SystemExit) as err:
+        main(argv + grid + ["--out", str(tmp_path / "out.csv")])
+    assert err.value.code == 2
+
+
 def test_snelson_dataset_via_cli(tmp_path):
     rng = np.random.default_rng(0)
     x = np.sort(rng.uniform(0, 6, 200))

@@ -1,0 +1,30 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import mlpgp
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(mlpgp.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"mlpgp.{name}")
+    assert hasattr(module, "__all__")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_public_names():
+    # every name the package imports is in its module's __all__ and is the
+    # module's own object
+    tree = ast.parse(Path(mlpgp.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"mlpgp.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)
+            assert getattr(mlpgp, alias.name) is getattr(module, alias.name)

@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from mlpgp.special import (DegenerateCorrelationError, bvn_cdf, bvn_pdf, erf,
+from mlpgp.special import (DegenerateCorrelationError, bvn_cdf, bvn_pdf,
                            std_normal_cdf, std_normal_pdf)
 
 from _oracles import bvn_cdf_oracle
-
-
-def test_erf_basics():
-    assert erf(0.0) == 0.0
-    assert abs(erf(6.0) - 1.0) < 1e-15
-    assert abs(erf(-6.0) + 1.0) < 1e-15
-    # series/continued-fraction value
-    assert abs(erf(1.0) - 0.8427007929497148) < 1e-12
-    z = np.linspace(-3, 3, 31)
-    assert np.allclose(erf(-z), -erf(z), atol=0)
 
 
 def test_std_normal_pdf_cdf():
