@@ -8,9 +8,8 @@ samplers, and an MMD-based convergence test harness.
 
 from .data import Dataset, gen_sine, gen_smooth_xor, load_snelson
 from .finite_net import (IIDGaussian, NetworkShape, RCEScheme, SampledNetwork,
-                         activations, custom_scheme, dump_weights, forward,
-                         get_scheme, load_weights, sample_weights,
-                         scheme_hyperparams)
+                         activations, dump_weights, forward, get_scheme,
+                         load_weights, sample_weights)
 from .gp import (FactorizationError, GPModel, PosteriorPredictive,
                  circle_traversal, log_marginal_likelihood,
                  perturbation_bound, posterior_predictive, sample_prior)

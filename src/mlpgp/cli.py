@@ -80,13 +80,25 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec((lo, hi), (slo, shi), res)
 
 
+def _count(minimum: int):
+    """argparse type for an integer flag that must be >= minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _parse_widths(text: str):
-    try:
-        widths = tuple(int(w) for w in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not widths:
-        raise argparse.ArgumentTypeError("need at least one width")
+    widths = tuple(_count(1)(w) for w in text.split(","))
+    if any(b < a for a, b in zip(widths, widths[1:])):
+        raise argparse.ArgumentTypeError("widths must be nondecreasing")
     return widths
 
 
@@ -109,8 +121,6 @@ def _mse(pred, truth) -> float:
 def cmd_kernel_curve(args) -> int:
     """Normalised kernel against the input angle, optionally with an
     empirical estimate from a sampled finite network."""
-    if args.n_theta < 1:
-        raise SystemExit("--n-theta must be >= 1")
     thetas = np.linspace(0.0, np.pi, args.n_theta)
     rot_rng = np.random.default_rng(_subseed(args.seed, "rotations"))
     weight_rng = np.random.default_rng(_subseed(args.seed, "weights"))
@@ -294,7 +304,8 @@ def _add_common(p, dataset=False, mh=False):
                        default=GridSpec(),
                        help="mu_lo:mu_hi:sig_lo:sig_hi[:res], default "
                             "-2.5:1.0:0.1:8.0:200")
-    p.add_argument("--depth", type=int, default=2, help="number of layers")
+    p.add_argument("--depth", type=_count(1), default=2,
+                   help="number of layers")
     p.add_argument("--slope", type=float, default=0.0, help="LReLU slope")
     if not dataset:
         # fit, grid and mh take (mu, sigma2) from the grid and the chain
@@ -303,9 +314,9 @@ def _add_common(p, dataset=False, mh=False):
         p.add_argument("--sigma2", type=float, default=2.0,
                        help="layer weight variance")
     if mh:
-        p.add_argument("--mh-samples", type=int, default=100)
-        p.add_argument("--burn-in", type=int, default=20)
-        p.add_argument("--thin", type=int, default=20)
+        p.add_argument("--mh-samples", type=_count(1), default=100)
+        p.add_argument("--burn-in", type=_count(1), default=20)
+        p.add_argument("--thin", type=_count(1), default=20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-curve",
                        help="normalised kernel vs input angle")
     _add_common(p)
-    p.add_argument("--n-theta", type=int, default=50)
-    p.add_argument("--empirical-width", type=int, default=0,
+    p.add_argument("--n-theta", type=_count(1), default=50)
+    p.add_argument("--empirical-width", type=_count(0), default=0,
                    help="if > 0, add an empirical column from one finite "
                         "network of this width")
     p.set_defaults(func=cmd_kernel_curve)
@@ -344,18 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("iid", "f1", "f2", "f3", "f4"),
                    required=True)
     p.add_argument("--widths", type=_parse_widths, default=(16, 64, 256, 1024))
-    p.add_argument("--mmd-samples", type=int, default=2000)
-    p.add_argument("--probes", type=int, default=4)
-    p.add_argument("--input-dim", type=int, default=10)
+    p.add_argument("--mmd-samples", type=_count(2), default=2000)
+    p.add_argument("--probes", type=_count(1), default=4)
+    p.add_argument("--input-dim", type=_count(1), default=10)
     p.add_argument("--f4-sigma", choices=("table", "analytic"),
                    default="table")
     p.set_defaults(func=cmd_mmd)
 
     p = sub.add_parser("prior-draws", help="GP prior draws on a great circle")
     _add_common(p)
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--n-points", type=int, default=200)
-    p.add_argument("--n-draws", type=int, default=5)
+    p.add_argument("--dim", type=_count(2), default=10)
+    p.add_argument("--n-points", type=_count(1), default=200)
+    p.add_argument("--n-draws", type=_count(1), default=5)
     p.set_defaults(func=cmd_prior_draws)
     return parser
 
@@ -363,12 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.depth < 1:
-        parser.error("--depth must be >= 1")
+    # written so that nan fails every check
+    if not -1.0 < args.slope < 1.0:
+        parser.error("--slope must lie in (-1, 1)")
+    if "noise_var" in args and not 0.0 <= args.noise_var < np.inf:
+        parser.error("--noise-var must be >= 0 and finite")
     if args.command == "mmd" and args.depth < 2:
         parser.error("mmd needs --depth >= 2 for a hidden layer")
-    if "sigma2" in args and args.sigma2 <= 0.0:
-        parser.error("--sigma2 must be positive")
+    if "mu" in args and not np.isfinite(args.mu):
+        parser.error("--mu must be finite")
+    if "sigma2" in args and not 0.0 < args.sigma2 < np.inf:
+        parser.error("--sigma2 must be positive and finite")
     return args.func(args)
 
 

@@ -20,8 +20,6 @@ __all__ = [
     "WeightScheme",
     "SampledNetwork",
     "get_scheme",
-    "custom_scheme",
-    "scheme_hyperparams",
     "sample_weights",
     "forward",
     "activations",
@@ -76,17 +74,25 @@ class IIDGaussian:
 class RCEScheme:
     """Row-column-exchangeable generator W ~ F(A, B_j, C_i, D_ji).
 
-    f evaluates the generator elementwise; f_mean is the conditional mean
-    E_D[F] given the latents (needed for centring); mu_of / sigma_of map the
-    global latent A to the limiting kernel hyperparameters of the layer.
+    The generator is affine in D given the latents:
+    F = scale(A) D + shift(A, C), so shift is also the conditional mean
+    E_D[F] used for centring.  Each term is a number or a callable of those
+    latents.  mu_of / sigma_of map the global latent A to the limiting
+    kernel hyperparameters of the layer.
     """
 
     name: str
-    f: Callable
-    f_mean: Callable
+    scale: Union[float, Callable]
+    shift: Union[float, Callable]
     mu_of: Callable
     sigma_of: Callable
     random_hyper: bool = False
+
+    def affine(self, A, C) -> Tuple:
+        """(scale, shift) of the generator given the latents A and C."""
+        scale = self.scale(A) if callable(self.scale) else self.scale
+        shift = self.shift(A, C) if callable(self.shift) else self.shift
+        return scale, shift
 
     def hyperparams(self, A: float = 0.0) -> Tuple[float, float]:
         return float(self.mu_of(A)), float(self.sigma_of(A))
@@ -109,69 +115,34 @@ def _f4_sigma(convention: str) -> Callable:
 def get_scheme(name: str, f4_sigma: str = "table") -> RCEScheme:
     """Preset exchangeable generators F1-F4."""
     key = name.lower()
-    # f_mean returns a scalar or a (1, n_in) row; sample_weights broadcasts
     if key == "f1":
         return RCEScheme(
-            "f1",
-            f=lambda A, B, C, D: SQRT2 * D,
-            f_mean=lambda A, B, C: 0.0,
+            "f1", scale=SQRT2, shift=0.0,
             mu_of=lambda A: 0.0,
             sigma_of=lambda A: SQRT2,
         )
     if key == "f2":
         return RCEScheme(
-            "f2",
-            f=lambda A, B, C, D: 2.0 * SQRT2 * D - 0.5,
-            f_mean=lambda A, B, C: -0.5,
+            "f2", scale=2.0 * SQRT2, shift=-0.5,
             mu_of=lambda A: -0.5,
             sigma_of=lambda A: np.sqrt(8.0),
         )
     if key == "f3":
         return RCEScheme(
-            "f3",
-            f=lambda A, B, C, D: SQRT2 * D - 1.5 * A * C,
-            f_mean=lambda A, B, C: -1.5 * A * C,
+            "f3", scale=SQRT2, shift=lambda A, C: -1.5 * A * C,
             mu_of=lambda A: 0.0,
             sigma_of=lambda A: SQRT2,
         )
     if key == "f4":
         return RCEScheme(
             "f4",
-            f=lambda A, B, C, D: SQRT2 * D * (A + SQRT3) - 0.1 * A * A * C * C - 0.4,
-            f_mean=lambda A, B, C: -0.1 * A * A * C * C - 0.4,
+            scale=lambda A: SQRT2 * (A + SQRT3),
+            shift=lambda A, C: -0.1 * A * A * C * C - 0.4,
             mu_of=lambda A: -0.1 * A * A - 0.4,
             sigma_of=_f4_sigma(f4_sigma),
             random_hyper=True,
         )
     raise ValueError(f"unknown scheme {name!r}; expected f1..f4")
-
-
-def custom_scheme(name: str, g: Callable, h: Callable, h_mean: Callable,
-                  mu_of: Callable, var_of: Callable,
-                  g_abs_mean: float = 1.0, g_sq_mean: float = 1.0,
-                  random_hyper: bool = True) -> RCEScheme:
-    """Build a generator F(A,B,C,D) = G(B) H(A,C,D) from its two factors.
-
-    The split keeps the limiting hyperparameters computable in closed form:
-    h_mean(A, C) = E_D[H], mu_of(A) = E_C[E_D H], var_of(A) = E_C[Var_D H],
-    and g_abs_mean / g_sq_mean are E|G(B)| and E[G(B)^2].
-    """
-    return RCEScheme(
-        name,
-        f=lambda A, B, C, D: g(B) * h(A, C, D),
-        f_mean=lambda A, B, C: g(B) * h_mean(A, C),
-        mu_of=lambda A: g_abs_mean * mu_of(A),
-        sigma_of=lambda A: np.sqrt(g_sq_mean * var_of(A)),
-        random_hyper=random_hyper,
-    )
-
-
-def scheme_hyperparams(scheme: Union[str, RCEScheme], A: float = 0.0,
-                       f4_sigma: str = "table") -> Tuple[float, float]:
-    """Limiting kernel hyperparameters (mu, sigma) of a scheme, given A."""
-    if isinstance(scheme, str):
-        scheme = get_scheme(scheme, f4_sigma=f4_sigma)
-    return scheme.hyperparams(A)
 
 
 @dataclass
@@ -237,8 +208,8 @@ def sample_weights(shape: NetworkShape, scheme: WeightScheme, a: float,
                 B = _uniform_latent(rng, (n_out, 1))
                 C = _uniform_latent(rng, (1, n_in))
                 D = _uniform_latent(rng, (n_out, n_in))
-                centred = scheme.f(A, B, C, D) \
-                    - scheme.f_mean(A, B, C) * (1.0 - 1.0 / root_n)
+                scale, shift = scheme.affine(A, C)
+                centred = scale * D + shift - shift * (1.0 - 1.0 / root_n)
                 centred /= root_n
                 weights.append(centred)
                 latents.append((A, B, C))

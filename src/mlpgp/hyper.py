@@ -159,19 +159,19 @@ def hyper_prior_logpdf(mu: float, sigma2: float,
     return log_mu + log_s2
 
 
-def substitute_hyper(net_template: NetworkHyper, mu: float, sigma2: float,
-                     include_final: bool = False) -> NetworkHyper:
+def substitute_hyper(net_template: NetworkHyper, mu: float,
+                     sigma2: float) -> NetworkHyper:
     """Place (mu, sqrt(sigma2)) in every LReLU layer of the template.
 
-    The final linear layer keeps its template values unless include_final
-    is set (or the template has no linear output layer).
+    A final linear layer keeps its template values, unless it is the
+    template's only layer.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     sub = LayerHyper(float(mu), float(np.sqrt(sigma2)))
     layers = list(net_template.layers)
     stop = len(layers)
-    if net_template.final_layer_linear and not include_final and stop > 1:
+    if net_template.final_layer_linear and stop > 1:
         stop -= 1
     for i in range(stop):
         layers[i] = sub

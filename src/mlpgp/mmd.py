@@ -6,8 +6,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .finite_net import (DEFAULT_END_SIGMA, IIDGaussian, NetworkShape,
-                         RCEScheme, WeightScheme, forward, sample_weights)
+from .finite_net import (DEFAULT_END_SIGMA, IIDGaussian, RCEScheme,
+                         WeightScheme, _uniform_latent)
 from .gp import FactorizationError, GPModel, _chol_with_jitter, sample_prior
 from .kernels import LayerHyper, NetworkHyper, VanishedSignalError, \
     kernel_matrix
@@ -126,57 +126,14 @@ class ConvergenceResult:
     depth: int
 
 
-def _mlp_samples_reference(scheme, depth, width, S, n_samples, a, end_sigma,
-                           seed_seq):
-    # one independent sample_weights draw per sample; the plain route
-    shape = NetworkShape(S.shape[1], (width,) * (depth - 1), 1)
-    out = np.empty((n_samples, S.shape[0]))
-    children = seed_seq.spawn(n_samples)
-    for i, child in enumerate(children):
-        netw = sample_weights(shape, scheme, a, child, end_sigma=end_sigma)
-        out[i] = forward(netw, S)
-    return out
-
-
-def _affine_coeffs(scheme, rng, k, n_in):
-    # Preset generators are affine in D given the latents, so the centred
-    # weight is scale * D + shift with D uniform on [-sqrt(3), sqrt(3)].
-    # Shapes: scale broadcasts over (k, n_in, n_out); shift likewise.
-    s3 = np.sqrt(3.0)
-    root = np.sqrt(n_in)
-    if isinstance(scheme, IIDGaussian):
-        return None  # gaussian layer, handled separately
-    name = scheme.name
-    if name == "f1":
-        return np.sqrt(2.0) / root, 0.0
-    if name == "f2":
-        return 2.0 * np.sqrt(2.0) / root, -0.5 / n_in
-    if name == "f3":
-        A = rng.random((k, 1, 1)) * (2 * s3) - s3
-        C = rng.random((k, n_in, 1)) * (2 * s3) - s3
-        return np.sqrt(2.0) / root, -1.5 * A * C / n_in
-    if name == "f4":
-        A = rng.random((k, 1, 1)) * (2 * s3) - s3
-        C = rng.random((k, n_in, 1)) * (2 * s3) - s3
-        return (np.sqrt(2.0) * (A + s3) / root,
-                (-0.1 * A * A * C * C - 0.4) / n_in)
-    return None
-
-
 def _mlp_samples(scheme, depth, width, S, n_samples, a, end_sigma, seed_seq,
                  chunk_bytes=2 ** 27):
     """Finite-network output samples at the probe points S.
 
-    Preset schemes run through a buffer-reusing chunked sampler (identical
-    distribution to the per-draw reference path, much less allocator
-    traffic); anything else falls back to the reference path.
+    A buffer-reusing chunked sampler: every sample is an independent
+    network with the distribution of sample_weights, at much less
+    allocator traffic than one sample_weights + forward call per sample.
     """
-    preset = (isinstance(scheme, IIDGaussian)
-              or (isinstance(scheme, RCEScheme)
-                  and scheme.name in ("f1", "f2", "f3", "f4")))
-    if not preset:
-        return _mlp_samples_reference(scheme, depth, width, S, n_samples, a,
-                                      end_sigma, seed_seq)
     rng = np.random.Generator(np.random.SFC64(seed_seq))
     d_in = S.shape[1]
     n_probe = S.shape[0]
@@ -209,7 +166,14 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, end_sigma, seed_seq,
                 c1 = np.float32(scheme.sigma / np.sqrt(n_i))
                 c2 = np.full((m, n_i, 1), scheme.mu / n_i, dtype=np.float32)
             else:
-                scale, shift = _affine_coeffs(scheme, rng, m, n_i)
+                # latents are drawn only for the terms that read them
+                A = C = None
+                if callable(scheme.scale) or callable(scheme.shift):
+                    A = _uniform_latent(rng, (m, 1, 1))
+                    C = _uniform_latent(rng, (m, n_i, 1))
+                scale, shift = scheme.affine(A, C)
+                scale = scale / np.sqrt(n_i)
+                shift = shift / n_i
                 rng.random(out=R, dtype=np.float32)
                 # weight = scale*(2 sqrt3 u - sqrt3) + shift
                 c1 = np.asarray(2.0 * sqrt3 * np.asarray(scale, dtype=np.float32))
@@ -278,6 +242,10 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
         raise ValueError("widths must be nondecreasing")
     if depth < 2:
         raise ValueError("need depth >= 2 for a hidden layer")
+    if n_samples < 2:
+        raise ValueError("unbiased MMD^2 needs n_samples >= 2")
+    if d_probe < 1:
+        raise ValueError("need d_probe >= 1 probe point")
     root = np.random.SeedSequence(seed)
     probe_ss, gp_root, perm_root, mlp_root = root.spawn(4)
     S = np.random.default_rng(probe_ss).standard_normal((d_probe, input_dim))

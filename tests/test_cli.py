@@ -186,9 +186,25 @@ def test_flag_validation(tmp_path):
     # the MMD experiment needs a hidden layer
     ["mmd", "--scheme", "f1", "--depth", "1", "--widths", "4",
      "--mmd-samples", "10"],
+    # out-of-range values are rejected when the flags are parsed
+    ["prior-draws", "--n-draws", "0"],
+    ["prior-draws", "--n-points", "0"],
+    ["prior-draws", "--dim", "1"],
+    ["mmd", "--scheme", "f1", "--widths", "64,8", "--mmd-samples", "10"],
+    ["mmd", "--scheme", "f2", "--widths", "8", "--mmd-samples", "1"],
+    ["mmd", "--scheme", "f2", "--widths", "8", "--mmd-samples", "10",
+     "--probes", "0"],
+    ["fit", "--dataset", "sine", "--estimator", "mle", "--slope", "1.5"],
+    ["mh", "--dataset", "sine", "--thin", "0", "--mh-samples", "2"],
+    ["grid", "--dataset", "sine", "--noise-var", "-1"],
+    ["kernel-curve", "--empirical-width", "-3", "--n-theta", "2"],
+    ["kernel-curve", "--n-theta", "0"],
+    ["prior-draws", "--sigma2", "nan"],
+    ["kernel-curve", "--mu", "inf"],
 ])
 def test_usage_errors_exit_two(tmp_path, argv):
-    grid = ["--grid=-1.0:0.0:1.0:2.0:2"] if argv[0] != "mmd" else []
+    grid = ["--grid=-1.0:0.0:1.0:2.0:2"] \
+        if argv[0] in ("fit", "grid", "mh") else []
     with pytest.raises(SystemExit) as err:
         main(argv + grid + ["--out", str(tmp_path / "out.csv")])
     assert err.value.code == 2

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mlpgp.finite_net import (IIDGaussian, NetworkShape, activations,
-                              custom_scheme, dump_weights, forward,
-                              get_scheme, load_weights, sample_weights,
-                              scheme_hyperparams)
+                              dump_weights, forward, get_scheme,
+                              load_weights, sample_weights)
 from mlpgp.kernels import arccos_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -20,17 +19,18 @@ def test_network_shape():
 
 
 def test_scheme_hyperparams_table():
-    assert scheme_hyperparams("f1") == (0.0, SQRT2)
-    assert scheme_hyperparams("f2") == (-0.5, np.sqrt(8.0))
-    assert scheme_hyperparams("f3", A=0.9) == (0.0, SQRT2)
-    mu, sigma = scheme_hyperparams("f4", A=0.0)
+    assert get_scheme("f1").hyperparams() == (0.0, SQRT2)
+    assert get_scheme("f2").hyperparams() == (-0.5, np.sqrt(8.0))
+    assert get_scheme("f3").hyperparams(0.9) == (0.0, SQRT2)
+    mu, sigma = get_scheme("f4").hyperparams(0.0)
     assert abs(mu + 0.4) < 1e-15
     assert abs(sigma - 2 * SQRT3) < 1e-15
     # the analytic variance of sqrt(2) D (A + sqrt3) disagrees with the
     # table entry by a factor sqrt(2); both conventions stay available
-    mu2, sigma2 = scheme_hyperparams("f4", A=0.7, f4_sigma="analytic")
+    mu2, sigma2 = get_scheme("f4", f4_sigma="analytic").hyperparams(0.7)
     assert abs(sigma2 - SQRT2 * abs(0.7 + SQRT3)) < 1e-15
-    assert abs(scheme_hyperparams("f4", A=0.7)[1] - 2 * abs(0.7 + SQRT3)) < 1e-15
+    assert abs(get_scheme("f4").hyperparams(0.7)[1]
+               - 2 * abs(0.7 + SQRT3)) < 1e-15
     with pytest.raises(ValueError):
         get_scheme("f9")
 
@@ -38,12 +38,13 @@ def test_scheme_hyperparams_table():
 def test_f4_analytic_sigma_matches_generator_variance():
     # Var_D of the f4 generator, conditional on (A, C), against the analytic
     # convention
-    scheme = get_scheme("f4")
+    scheme = get_scheme("f4", f4_sigma="analytic")
     rng = np.random.default_rng(0)
     A = 0.8
     D = rng.uniform(-SQRT3, SQRT3, 200_000)
-    F = SQRT2 * D * (A + SQRT3) - 0.1 * A * A * 1.0 - 0.4
-    _, sigma_analytic = scheme_hyperparams("f4", A=A, f4_sigma="analytic")
+    scale, shift = scheme.affine(A, 1.0)
+    F = scale * D + shift
+    _, sigma_analytic = scheme.hyperparams(A)
     assert abs(F.std() - sigma_analytic) < 0.01
 
 
@@ -98,7 +99,8 @@ def test_centring_identity():
         netw = sample_weights(shape, scheme, 0.0, seed=5)
         W = netw.weights[1]
         A, B, C = netw.latents[1]
-        mu = np.broadcast_to(np.atleast_2d(scheme.f_mean(A, B, C)), W.shape)
+        _, shift = scheme.affine(A, C)
+        mu = np.broadcast_to(np.atleast_2d(shift), W.shape)
         resid = W - mu / n
         se = resid.std() / np.sqrt(resid.size)
         assert abs(resid.mean()) < 4 * se
@@ -172,28 +174,6 @@ def test_sampling_determinism_and_substreams():
         assert np.array_equal(wa, wb)
     c = sample_weights(shape, get_scheme("f2"), 0.1, seed=10)
     assert not np.array_equal(a.weights[0], c.weights[0])
-
-
-def test_custom_scheme_assembles_assumption_factoring():
-    # F = G(B) H(A, C, D) with G(b) = 1 + b/4, H = sqrt(2) D
-    g = lambda b: 1.0 + b / 4.0
-    scheme = custom_scheme(
-        "toy", g=g, h=lambda A, C, D: SQRT2 * D,
-        h_mean=lambda A, C: 0.0,
-        mu_of=lambda A: 0.0, var_of=lambda A: 2.0,
-        g_abs_mean=1.0, g_sq_mean=1.0 + 1.0 / 16.0)
-    mu, sigma = scheme.hyperparams(0.3)
-    assert mu == 0.0
-    assert abs(sigma - np.sqrt(2.0 * (1 + 1 / 16))) < 1e-15
-    shape = NetworkShape(8, (64, 64), 1)
-    netw = sample_weights(shape, scheme, 0.0, seed=2)
-    A, B, C = netw.latents[1]
-    # rows scale with G(B_j)
-    W = netw.weights[1]
-    row_std = W.std(axis=1)
-    expected = np.abs(g(B[:, 0]))
-    corr = np.corrcoef(row_std, expected)[0, 1]
-    assert corr > 0.5
 
 
 def test_weight_dump_roundtrip(tmp_path):

@@ -32,8 +32,6 @@ def test_substitute_hyper():
     net = substitute_hyper(TEMPLATE, -0.5, 3.0)
     assert net.layers[0] == LayerHyper(-0.5, np.sqrt(3.0))
     assert net.layers[-1] == TEMPLATE.layers[-1]
-    net_all = substitute_hyper(TEMPLATE, -0.5, 3.0, include_final=True)
-    assert net_all.layers[-1] == LayerHyper(-0.5, np.sqrt(3.0))
     with pytest.raises(ValueError):
         substitute_hyper(TEMPLATE, 0.0, 0.0)
 

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mlpgp.finite_net import IIDGaussian, get_scheme
+from mlpgp.finite_net import (IIDGaussian, NetworkShape, forward, get_scheme,
+                              sample_weights)
 from mlpgp.kernels import LayerHyper
 from mlpgp.mmd import (convergence_experiment, limiting_hyper, mmd2_unbiased,
                        permutation_null)
-from mlpgp.mmd import _mlp_samples, _mlp_samples_reference
+from mlpgp.mmd import _mlp_samples
 
 SQRT2 = np.sqrt(2.0)
 
@@ -83,17 +86,32 @@ def test_limiting_hyper_structure():
 
 
 def test_fast_sampler_matches_reference_distribution():
+    # reference: one independent sample_weights + forward draw per sample
     S = np.random.default_rng(0).standard_normal((4, 10))
+    shape = NetworkShape(10, (96,) * 3, 1)
     for scheme in (get_scheme("f1"), get_scheme("f2"), get_scheme("f3"),
                    get_scheme("f4"), IIDGaussian(0.0, SQRT2)):
         fast = _mlp_samples(scheme, 4, 96, S, 3000, 0.0, SQRT2,
                             np.random.SeedSequence(1))
-        ref = _mlp_samples_reference(scheme, 4, 96, S, 3000, 0.0, SQRT2,
-                                     np.random.SeedSequence(2))
+        ref = np.array([forward(sample_weights(shape, scheme, 0.0, child), S)
+                        for child in np.random.SeedSequence(2).spawn(3000)])
         # same distribution: a mismatch would push the unbiased MMD^2 above
         # the permutation null band
         _, hi = permutation_null(fast, ref, n_perm=100, seed=3)
         assert mmd2_unbiased(fast, ref) <= hi
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+def test_mlp_samples_ignore_scheme_name(name):
+    # the sampler reads the generator, never its name
+    S = np.random.default_rng(0).standard_normal((3, 5))
+    preset = get_scheme(name)
+    renamed = dataclasses.replace(preset, name="renamed")
+    want = _mlp_samples(preset, 4, 16, S, 40, 0.0, SQRT2,
+                        np.random.SeedSequence(6))
+    got = _mlp_samples(renamed, 4, 16, S, 40, 0.0, SQRT2,
+                       np.random.SeedSequence(6))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gp_vs_gp_self_consistency():
@@ -116,6 +134,13 @@ def test_convergence_experiment_small():
     assert res.scheme == "f1" and res.depth == 4
     with pytest.raises(ValueError):
         convergence_experiment(get_scheme("f1"), 4, (64, 8), n_samples=10)
+    # one sample has no unbiased MMD^2 (it came out nan); no probes gave
+    # all-zero rows
+    with pytest.raises(ValueError):
+        convergence_experiment(get_scheme("f2"), 3, (8,), n_samples=1)
+    with pytest.raises(ValueError):
+        convergence_experiment(get_scheme("f2"), 3, (8,), d_probe=0,
+                               n_samples=10)
 
 
 def test_convergence_experiment_random_hyper_scheme():

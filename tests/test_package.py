@@ -28,3 +28,18 @@ def test_package_reexports_public_names():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(mlpgp, alias.name) is getattr(module, alias.name)
+
+
+@pytest.mark.parametrize("demo", sorted(
+    (Path(__file__).resolve().parents[1] / "demos").glob("*.py")),
+    ids=lambda path: path.name)
+def test_demo_imports_resolve(demo):
+    # the demos are never run by the tests; at least their imports must hold
+    tree = ast.parse(demo.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "mlpgp":
+            module = importlib.import_module(node.module)
+            missing = [a.name for a in node.names
+                       if not hasattr(module, a.name)]
+            assert missing == [], (node.module, missing)
