@@ -21,7 +21,7 @@ from .finite_net import IIDGaussian, NetworkShape, activations, get_scheme, \
 from .gp import GPModel, posterior_predictive, sample_prior, circle_traversal
 from .hyper import GridSpec, HyperPrior, MHConfig, grid_eval, \
     marginal_predictive, mh_sample, substitute_hyper
-from .kernels import LayerHyper, NetworkHyper, constant_hyper, kernel_matrix
+from .kernels import NetworkHyper, constant_hyper, kernel_matrix
 from .mmd import convergence_experiment
 
 __all__ = ["main"]
@@ -75,9 +75,9 @@ def _parse_grid(text: str) -> GridSpec:
     try:
         lo, hi, slo, shi = (float(p) for p in parts[:4])
         res = int(parts[4]) if len(parts) == 5 else 200
+        return GridSpec((lo, hi), (slo, shi), res)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return GridSpec((lo, hi), (slo, shi), res)
 
 
 def _count(minimum: int):
@@ -107,11 +107,8 @@ def _template(args, input_dim: int, mu: float = 0.0,
     # --depth - 1 LReLU layers with (mu, sigma2) and a linear (0, 1) output
     # layer; at depth 1 the one linear layer takes (mu, sigma2).  fit, grid
     # and mh keep the defaults: substitute_hyper replaces all those layers
-    layer = LayerHyper(mu, np.sqrt(sigma2))
-    layers = [layer] * max(args.depth - 1, 1)
-    if args.depth > 1:
-        layers.append(LayerHyper(0.0, 1.0))
-    return NetworkHyper(args.slope, input_dim, tuple(layers))
+    net = constant_hyper(0.0, 1.0, args.depth, input_dim, args.slope)
+    return substitute_hyper(net, mu, sigma2)
 
 
 def _mse(pred, truth) -> float:

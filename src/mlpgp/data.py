@@ -1,12 +1,11 @@
 """Benchmark regression datasets: Sine, Smooth XOR, and the Snelson loader."""
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["Dataset", "gen_sine", "gen_smooth_xor", "load_snelson", "save_csv"]
+__all__ = ["Dataset", "gen_sine", "gen_smooth_xor", "load_snelson"]
 
 SQRT3 = np.sqrt(3.0)
 DEFAULT_NOISE_VAR = 0.1
@@ -133,16 +132,3 @@ def load_snelson(path) -> Dataset:
         noise_var=DEFAULT_NOISE_VAR,
     )
 
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write the dataset as CSV with a header and a train/test split column."""
-    d = dataset.input_dim
-    header = ["split"] + [f"x{i + 1}" for i in range(d)] + ["y"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for split, X, y in (("train", dataset.X_train, dataset.y_train),
-                            ("test", dataset.X_test, dataset.y_test)):
-            for row, target in zip(X, y):
-                writer.writerow([split] + [f"{v:.17g}" for v in row]
-                                + [f"{target:.17g}"])

@@ -31,7 +31,7 @@ SQRT3 = np.sqrt(3.0)
 SQRT2 = np.sqrt(2.0)
 
 # zero-mean Gaussian scale for the first and last layers in RCE mode
-DEFAULT_END_SIGMA = SQRT2
+END_SIGMA = SQRT2
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,13 @@ def _uniform_latent(rng, shape=None):
 
 
 def sample_weights(shape: NetworkShape, scheme: WeightScheme, a: float,
-                   seed, end_sigma: float = DEFAULT_END_SIGMA) -> SampledNetwork:
+                   seed) -> SampledNetwork:
     """Draw one network.
 
     iid mode uses W = (sigma Z + mu / sqrt(n)) / sqrt(n) in every layer.  RCE
     mode samples the latents uniform on [-sqrt(3), sqrt(3)], centres the
     hidden layers as W = (F - E_D[F](1 - 1/sqrt(n))) / sqrt(n), and keeps
-    zero-mean Gaussians at scale end_sigma in the first and last layers.
+    zero-mean Gaussians at scale END_SIGMA in the first and last layers.
 
     Layers draw from split substreams of `seed`, so the draw for layer l
     does not depend on the widths of other layers.
@@ -200,7 +200,7 @@ def sample_weights(shape: NetworkShape, scheme: WeightScheme, a: float,
         elif isinstance(scheme, RCEScheme):
             if l == 1 or l == shape.n_layers:
                 z = rng.standard_normal((n_out, n_in))
-                z *= end_sigma / root_n
+                z *= END_SIGMA / root_n
                 weights.append(z)
                 latents.append(None)
             else:

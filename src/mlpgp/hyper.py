@@ -7,7 +7,7 @@ predictive.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -34,47 +34,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperPrior:
-    """Independent N(mu_mean, mu_var) x Inv-Gamma(ig_shape, ig_scale) prior."""
+    """Independent N(mu_mean, mu_var) x Inv-Gamma(ig_shape, ig_scale) prior.
 
-    mu_mean: float = -1.0
-    mu_var: float = 2.0
-    ig_shape: float = 2.5
-    ig_scale: float = 6.0
+    The four numbers are fixed; the class names the prior at call sites.
+    """
 
-    def __post_init__(self):
-        if self.mu_var <= 0.0 or self.ig_shape <= 0.0 or self.ig_scale <= 0.0:
-            raise ValueError("prior scale parameters must be positive")
+    mu_mean: ClassVar[float] = -1.0
+    mu_var: ClassVar[float] = 2.0
+    ig_shape: ClassVar[float] = 2.5
+    ig_scale: ClassVar[float] = 6.0
+
+
+# random-walk MH proposal: variances (2.38, 4.76) for (mu, sigma^2) with
+# correlation -0.9, roughly tracking the diagonal ridge of the target
+_PROPOSAL_OFF = -0.9 * math.sqrt(2.38 * 4.76)
+PROPOSAL_COV = np.array([[2.38, _PROPOSAL_OFF], [_PROPOSAL_OFF, 4.76]])
 
 
 @dataclass(frozen=True)
 class MHConfig:
     """Fixed-proposal random-walk MH settings.
 
-    The proposal covariance has variances (prop_var_mu, prop_var_sig2) and
-    correlation prop_corr, roughly tracking the diagonal ridge of the
-    target.  burn_in iterations are discarded, then every thin-th state is
-    kept until n_samples are collected.
+    Steps are drawn from N(0, PROPOSAL_COV).  burn_in iterations are
+    discarded, then every thin-th state is kept until n_samples are
+    collected.
     """
 
-    prop_var_mu: float = 2.38
-    prop_var_sig2: float = 4.76
-    prop_corr: float = -0.9
     burn_in: int = 20
     thin: int = 20
     n_samples: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if not (abs(self.prop_corr) < 1.0):
-            raise ValueError("|prop_corr| must be < 1")
         if min(self.burn_in, self.thin, self.n_samples) < 1:
             raise ValueError("burn_in, thin and n_samples must be >= 1")
-        if self.prop_var_mu <= 0.0 or self.prop_var_sig2 <= 0.0:
-            raise ValueError("proposal variances must be positive")
-
-    def proposal_cov(self) -> np.ndarray:
-        off = self.prop_corr * math.sqrt(self.prop_var_mu * self.prop_var_sig2)
-        return np.array([[self.prop_var_mu, off], [off, self.prop_var_sig2]])
 
 
 @dataclass
@@ -107,6 +100,8 @@ class GridSpec:
     resolution: int = 200
 
     def __post_init__(self):
+        if not np.all(np.isfinite([*self.mu_range, *self.sig2_range])):
+            raise ValueError("grid range ends must be finite")
         if self.mu_range[0] >= self.mu_range[1] and self.resolution > 1:
             raise ValueError("mu_range must be increasing")
         if self.sig2_range[0] <= 0.0:
@@ -218,8 +213,7 @@ def gp_log_posterior(X, y, net_template: NetworkHyper,
 
 
 def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
-              target: str = "log-ml", noise_var: float = 0.1,
-              prior: Optional[HyperPrior] = None) -> GridResult:
+              target: str = "log-ml", noise_var: float = 0.1) -> GridResult:
     """Evaluate the evidence or hyper-posterior surface on the grid.
 
     Cell (i, j) holds the target at (mu_axis[i], sig2_axis[j]); failed
@@ -228,10 +222,7 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     """
     if target not in ("log-ml", "log-posterior"):
         raise ValueError("target must be 'log-ml' or 'log-posterior'")
-    if target == "log-ml":
-        prior = None
-    elif prior is None:
-        prior = HyperPrior()
+    prior = HyperPrior() if target == "log-posterior" else None
     mu_axis, sig2_axis = spec.axes()
     values = np.empty((mu_axis.size, sig2_axis.size))
     n_failed = 0
@@ -270,7 +261,7 @@ def random_walk_mh(log_density: Callable, init, config: MHConfig) -> Chain:
     fixed config.seed.
     """
     rng = np.random.default_rng(config.seed)
-    L = np.linalg.cholesky(config.proposal_cov())
+    L = np.linalg.cholesky(PROPOSAL_COV)
     current = np.asarray(init, dtype=float).copy()
     cur_ld = float(log_density(current))
     if not np.isfinite(cur_ld):

@@ -6,8 +6,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .finite_net import (DEFAULT_END_SIGMA, IIDGaussian, RCEScheme,
-                         WeightScheme, _uniform_latent)
+from .finite_net import (END_SIGMA, IIDGaussian, RCEScheme, WeightScheme,
+                         _uniform_latent)
 from .gp import FactorizationError, GPModel, _chol_with_jitter, sample_prior
 from .kernels import LayerHyper, NetworkHyper, VanishedSignalError, \
     kernel_matrix
@@ -50,7 +50,7 @@ def mmd2_unbiased(xs, ys) -> float:
     return _mmd2_from_blocks(_gram(xs, xs), _gram(ys, ys), _gram(xs, ys))
 
 
-def _null_band_from_gram(G, n, m, n_perm, seed, quantiles):
+def _null_band_from_gram(G, n, m, n_perm, seed):
     # all permutations at once: one GEMM against a 0/1 mask matrix
     diag = np.diag(G)
     total = G.sum()
@@ -66,27 +66,24 @@ def _null_band_from_gram(G, n, m, n_perm, seed, quantiles):
     d_y = diag.sum() - d_x
     vals = ((s_xx - d_x) / (n * (n - 1)) + (s_yy - d_y) / (m * (m - 1))
             - 2.0 * s_xy / (n * m))
-    return float(np.quantile(vals, quantiles[0])), \
-        float(np.quantile(vals, quantiles[1]))
+    return float(np.quantile(vals, 0.025)), float(np.quantile(vals, 0.975))
 
 
-def permutation_null(xs, ys, n_perm: int = 200, seed: int = 0,
-                     quantiles: Tuple[float, float] = (0.025, 0.975)):
+def permutation_null(xs, ys, n_perm: int = 200, seed: int = 0):
     """Null band for MMD^2 under random relabelling of the pooled samples.
 
-    Returns (lo, hi) quantiles of the permuted estimates; gives the scale on
-    which an observed MMD^2 counts as indistinguishable from zero.
+    Returns the 2.5% and 97.5% points of the permuted estimates; gives the
+    scale on which an observed MMD^2 counts as indistinguishable from zero.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n, m = xs.shape[0], ys.shape[0]
     pooled = np.vstack([xs, ys])
-    return _null_band_from_gram(_gram(pooled, pooled), n, m, n_perm, seed,
-                                quantiles)
+    return _null_band_from_gram(_gram(pooled, pooled), n, m, n_perm, seed)
 
 
 def limiting_hyper(scheme: WeightScheme, depth: int, input_dim: int,
-                   a: float = 0.0, end_sigma: float = DEFAULT_END_SIGMA,
+                   a: float = 0.0,
                    A_values: Optional[Sequence[float]] = None) -> NetworkHyper:
     """Kernel hyperparameters of the GP limit of a sampled network.
 
@@ -105,12 +102,12 @@ def limiting_hyper(scheme: WeightScheme, depth: int, input_dim: int,
         A_values = [0.0] * n_internal
     if len(A_values) != n_internal:
         raise ValueError(f"need {n_internal} A values for depth {depth}")
-    layers = [LayerHyper(0.0, end_sigma)]
+    layers = [LayerHyper(0.0, END_SIGMA)]
     for A in A_values:
         mu, sigma = scheme.hyperparams(A)
         layers.append(LayerHyper(mu, sigma))
     if depth > 1:
-        layers.append(LayerHyper(0.0, end_sigma))
+        layers.append(LayerHyper(0.0, END_SIGMA))
     return NetworkHyper(a, input_dim, tuple(layers), True)
 
 
@@ -126,8 +123,11 @@ class ConvergenceResult:
     depth: int
 
 
-def _mlp_samples(scheme, depth, width, S, n_samples, a, end_sigma, seed_seq,
-                 chunk_bytes=2 ** 27):
+# raw float32 weight-buffer budget of one _mlp_samples chunk
+CHUNK_BYTES = 2 ** 27
+
+
+def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
     """Finite-network output samples at the probe points S.
 
     A buffer-reusing chunked sampler: every sample is an independent
@@ -138,7 +138,7 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, end_sigma, seed_seq,
     d_in = S.shape[1]
     n_probe = S.shape[0]
     sizes = [d_in] + [width] * (depth - 1) + [1]
-    k = max(1, min(n_samples, chunk_bytes // (4 * width * width + 1)))
+    k = max(1, min(n_samples, CHUNK_BYTES // (4 * width * width + 1)))
     # raw-draw float32 (k, n_in, n_out) buffers reused across chunks, so the
     # sampler is allocation-free after warm-up; weights are affine in the
     # raw draws, so their scale and shift fold into the (small) matmul
@@ -159,7 +159,7 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, end_sigma, seed_seq,
             gauss_end = isinstance(scheme, RCEScheme) and (l == 1 or l == depth)
             if gauss_end:
                 rng.standard_normal(out=R, dtype=np.float32)
-                c1 = np.float32(end_sigma / np.sqrt(n_i))
+                c1 = np.float32(END_SIGMA / np.sqrt(n_i))
                 c2 = None
             elif isinstance(scheme, IIDGaussian):
                 rng.standard_normal(out=R, dtype=np.float32)
@@ -195,16 +195,16 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, end_sigma, seed_seq,
     return out
 
 
-def _gp_samples(scheme, depth, S, n_samples, a, end_sigma, seed_seq):
+def _gp_samples(scheme, depth, S, n_samples, a, seed_seq):
     if not (isinstance(scheme, RCEScheme) and scheme.random_hyper):
-        net = limiting_hyper(scheme, depth, S.shape[1], a, end_sigma)
+        net = limiting_hyper(scheme, depth, S.shape[1], a)
         return sample_prior(S, GPModel(net, 0.0), n_samples, seed_seq)
     rng = np.random.default_rng(seed_seq)
     n_internal = max(depth - 2, 0)
     out = np.empty((n_samples, S.shape[0]))
     for i in range(n_samples):
         A_values = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), n_internal)
-        net = limiting_hyper(scheme, depth, S.shape[1], a, end_sigma, A_values)
+        net = limiting_hyper(scheme, depth, S.shape[1], a, A_values)
         z = rng.standard_normal(S.shape[0])
         # hyperparameter draws with vanishing layer scale collapse the
         # kernel to (numerically) zero; the limiting function is the zero
@@ -228,8 +228,8 @@ def _gp_samples(scheme, depth, S, n_samples, a, end_sigma, seed_seq):
 def convergence_experiment(scheme: WeightScheme, depth: int,
                            widths: Sequence[int], d_probe: int = 4,
                            n_samples: int = 2000, input_dim: int = 10,
-                           seed: int = 0, a: float = 0.0, n_perm: int = 200,
-                           end_sigma: float = DEFAULT_END_SIGMA) -> ConvergenceResult:
+                           seed: int = 0, a: float = 0.0,
+                           n_perm: int = 200) -> ConvergenceResult:
     """MMD^2 between finite networks and their GP limit, per hidden width.
 
     Probe points are drawn once (standard Gaussian rows) and shared across
@@ -257,15 +257,12 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
     hi = np.empty(len(widths))
     name = scheme.name if isinstance(scheme, RCEScheme) else "iid"
     for i, w in enumerate(widths):
-        xs = _mlp_samples(scheme, depth, w, S, n_samples, a, end_sigma,
-                          mlp_children[i])
-        ys = _gp_samples(scheme, depth, S, n_samples, a, end_sigma,
-                         gp_children[i])
+        xs = _mlp_samples(scheme, depth, w, S, n_samples, a, mlp_children[i])
+        ys = _gp_samples(scheme, depth, S, n_samples, a, gp_children[i])
         # one pooled gram serves both the estimate and its null band
         n, m = xs.shape[0], ys.shape[0]
         G = _gram(np.vstack([xs, ys]), np.vstack([xs, ys]))
         mmd2[i] = _mmd2_from_blocks(G[:n, :n], G[n:, n:], G[:n, n:])
         lo[i], hi[i] = _null_band_from_gram(G, n, m, n_perm,
-                                            perm_children[i],
-                                            (0.025, 0.975))
+                                            perm_children[i])
     return ConvergenceResult(widths, mmd2, lo, hi, name, depth)

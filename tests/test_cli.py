@@ -210,6 +210,19 @@ def test_usage_errors_exit_two(tmp_path, argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("grid, reason", [
+    ("--grid=0:-1:1:2:3", "mu_range must be increasing"),
+    ("--grid=0:nan:1:2:3", "grid range ends must be finite"),
+    ("--grid=-1:0:1:inf:3", "grid range ends must be finite"),
+])
+def test_grid_usage_errors_name_reason(tmp_path, capsys, grid, reason):
+    with pytest.raises(SystemExit) as err:
+        main(["grid", "--dataset", "sine", grid,
+              "--out", str(tmp_path / "out.csv")])
+    assert err.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_snelson_dataset_via_cli(tmp_path):
     rng = np.random.default_rng(0)
     x = np.sort(rng.uniform(0, 6, 200))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mlpgp.data import Dataset, gen_sine, gen_smooth_xor, load_snelson, \
-    save_csv
+from mlpgp.data import Dataset, gen_sine, gen_smooth_xor, load_snelson
 
 SQRT3 = np.sqrt(3.0)
 
@@ -95,18 +94,6 @@ def test_load_snelson_errors(tmp_path):
         fh.write("x 3.0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_snelson(notnum)
-
-
-def test_save_csv(tmp_path):
-    ds = gen_sine(0)
-    out = tmp_path / "sine.csv"
-    save_csv(ds, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "split,x1,y"
-    assert len(lines) == 1 + 10 + 100
-    first = lines[1].split(",")
-    assert first[0] == "train"
-    assert float(first[1]) == ds.X_train[0, 0]
 
 
 def test_dataset_validation():

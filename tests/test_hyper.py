@@ -246,10 +246,12 @@ def test_chain_map_against_grid_refinement():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MHConfig(prop_corr=1.0)
-    with pytest.raises(ValueError):
         MHConfig(n_samples=0)
     with pytest.raises(ValueError):
         GridSpec((0.0, 1.0), (-0.5, 2.0), 10)
-    with pytest.raises(ValueError):
-        HyperPrior(mu_var=0.0)
+    # nan fails every ordering check, and an infinite end gives nan axes
+    for ends in ((0.0, np.nan, 1.0, 2.0), (np.nan, 1.0, 1.0, 2.0),
+                 (-np.inf, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, np.inf),
+                 (0.0, 1.0, np.nan, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(ends[:2], ends[2:], 3)

@@ -74,7 +74,7 @@ def test_permutation_null_brackets_null_cases():
 
 
 def test_limiting_hyper_structure():
-    net = limiting_hyper(get_scheme("f2"), 5, 10, a=0.0, end_sigma=SQRT2)
+    net = limiting_hyper(get_scheme("f2"), 5, 10, a=0.0)
     assert net.depth == 5
     assert net.layers[0] == LayerHyper(0.0, SQRT2)
     assert net.layers[-1] == LayerHyper(0.0, SQRT2)
@@ -91,7 +91,7 @@ def test_fast_sampler_matches_reference_distribution():
     shape = NetworkShape(10, (96,) * 3, 1)
     for scheme in (get_scheme("f1"), get_scheme("f2"), get_scheme("f3"),
                    get_scheme("f4"), IIDGaussian(0.0, SQRT2)):
-        fast = _mlp_samples(scheme, 4, 96, S, 3000, 0.0, SQRT2,
+        fast = _mlp_samples(scheme, 4, 96, S, 3000, 0.0,
                             np.random.SeedSequence(1))
         ref = np.array([forward(sample_weights(shape, scheme, 0.0, child), S)
                         for child in np.random.SeedSequence(2).spawn(3000)])
@@ -107,10 +107,8 @@ def test_mlp_samples_ignore_scheme_name(name):
     S = np.random.default_rng(0).standard_normal((3, 5))
     preset = get_scheme(name)
     renamed = dataclasses.replace(preset, name="renamed")
-    want = _mlp_samples(preset, 4, 16, S, 40, 0.0, SQRT2,
-                        np.random.SeedSequence(6))
-    got = _mlp_samples(renamed, 4, 16, S, 40, 0.0, SQRT2,
-                       np.random.SeedSequence(6))
+    want = _mlp_samples(preset, 4, 16, S, 40, 0.0, np.random.SeedSequence(6))
+    got = _mlp_samples(renamed, 4, 16, S, 40, 0.0, np.random.SeedSequence(6))
     assert got.tobytes() == want.tobytes()
 
 
