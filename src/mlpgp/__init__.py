@@ -16,10 +16,10 @@ from .gp import (FactorizationError, GPModel, PosteriorPredictive,
 from .hyper import (Chain, GridSpec, HyperPrior, MHConfig, grid_eval,
                     hyper_prior_logpdf, marginal_predictive, mh_sample,
                     random_walk_mh, substitute_hyper)
-from .kernels import (DegenerateInputError, KernelState, LayerHyper,
-                      NetworkHyper, VanishedSignalError, arccos_reference,
-                      constant_hyper, deep_kernel, input_state, kernel_matrix,
-                      layer_step, single_layer_kernel_with_bias)
+from .kernels import (DegenerateInputError, LayerHyper, NetworkHyper,
+                      VanishedSignalError, arccos_reference, constant_hyper,
+                      deep_kernel, kernel_matrix,
+                      single_layer_kernel_with_bias)
 from .mmd import convergence_experiment, limiting_hyper, mmd2_unbiased, \
     permutation_null
 from .special import (DegenerateCorrelationError, bvn_cdf, bvn_pdf,

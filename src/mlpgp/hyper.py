@@ -139,16 +139,15 @@ class MarginalPredictive:
     n_skipped: int = 0
 
 
-def hyper_prior_logpdf(mu: float, sigma2: float,
-                       prior: HyperPrior = HyperPrior()) -> float:
-    """Log density of the hyper-prior at (mu, sigma^2)."""
+def hyper_prior_logpdf(mu: float, sigma2: float) -> float:
+    """Log density of the fixed hyper-prior `HyperPrior` at (mu, sigma^2)."""
     mu = np.asarray(mu, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
     if np.any(sigma2 <= 0.0):
         raise ValueError("sigma2 must be positive")
-    a, b = prior.ig_shape, prior.ig_scale
-    log_mu = (-0.5 * np.log(2.0 * np.pi * prior.mu_var)
-              - (mu - prior.mu_mean) ** 2 / (2.0 * prior.mu_var))
+    a, b = HyperPrior.ig_shape, HyperPrior.ig_scale
+    log_mu = (-0.5 * np.log(2.0 * np.pi * HyperPrior.mu_var)
+              - (mu - HyperPrior.mu_mean) ** 2 / (2.0 * HyperPrior.mu_var))
     log_s2 = (a * np.log(b) - math.lgamma(a) - (a + 1.0) * np.log(sigma2)
               - b / sigma2)
     return log_mu + log_s2
@@ -191,7 +190,7 @@ def _log_target(X, y, net_template: NetworkHyper, prior: Optional[HyperPrior],
     if not np.isfinite(lml):
         return -np.inf, 0.0
     if prior is not None:
-        lml += hyper_prior_logpdf(mu, sigma2, prior)
+        lml += hyper_prior_logpdf(mu, sigma2)
     return lml, jit
 
 

@@ -2,18 +2,21 @@
 
 Single-layer second moments for linear / absolute-value / leaky-ReLU units
 under Gaussian pre-activations with non-zero means, and the deep recursion
-that propagates the five-number state (k_xx, k_yy, k_xy, m_x, m_y) through
-the layers.  The internal moment maps take a pre-activation pair (G1, G2)
-with std-devs s1, s2, correlation rho and means t1, t2 as plain broadcast-
-compatible floats or arrays, and check nothing: `LayerHyper`, `NetworkHyper`
-and the recursion's zero-norm and vanished-signal checks keep them on their
-domain.  Broadcasting is what makes `kernel_matrix` cheap: the whole Gram
-recursion runs on (N, 1) / (1, M) / (N, M) shaped states.
+behind `deep_kernel` and `kernel_matrix`.  The internal moment maps take a
+pre-activation pair (G1, G2) with std-devs s1, s2, correlation rho and means
+t1, t2 as plain broadcast-compatible floats or arrays, and check nothing:
+`LayerHyper`, `NetworkHyper` and the recursion's zero-norm and vanished-
+signal checks keep them on their domain.  Broadcasting is what makes
+`kernel_matrix` cheap: the whole Gram recursion runs on (N, 1) / (1, M) /
+(N, M) shaped arrays.
 
-The recursion carries unnormalised post-activation second moments plus the
-post-activation means; each step rescales by the incoming layer's (mu, sigma).
-With non-zero means the kernel is not a function of the input angle alone, so
-normalised angles are never stored internally.
+The recursion is one loop in `_recurse` over the hidden layers.  It carries
+five arrays, the unnormalised post-activation second moments k_xx, k_yy,
+k_xy and the post-activation means m_x, m_y.  Each hidden layer builds its
+pre-activation from them with s = sigma sqrt(k), rho = k_xy / sqrt(k_xx k_yy)
+and means mu m, and `_moment_step` maps that back to the next five arrays.
+With non-zero means the kernel is not a function of the input angle alone,
+so normalised angles are never stored internally.
 """
 
 from dataclasses import dataclass
@@ -31,9 +34,6 @@ __all__ = [
     "LayerHyper",
     "NetworkHyper",
     "constant_hyper",
-    "KernelState",
-    "input_state",
-    "layer_step",
     "deep_kernel",
     "arccos_reference",
     "kernel_matrix",
@@ -124,21 +124,6 @@ def constant_hyper(mu: float, sigma: float, depth: int, input_dim: int,
                         final_layer_linear)
 
 
-@dataclass
-class KernelState:
-    """Five-number state driving the deep recursion.
-
-    k_xx, k_yy, k_xy are (unnormalised) second moments of the activations for
-    the two inputs; m_x, m_y are the activation means.
-    """
-
-    k_xx: ArrayLike
-    k_yy: ArrayLike
-    k_xy: ArrayLike
-    m_x: ArrayLike
-    m_y: ArrayLike
-
-
 def linear_kernel(s1, s2, rho, t1, t2) -> ArrayLike:
     """E[G1 G2] = s1 s2 rho + t1 t2.  Domain: any finite floats."""
     return s1 * s2 * rho + t1 * t2
@@ -207,7 +192,7 @@ def cross_term(s1, s2, rho, t1, t2) -> ArrayLike:
     rho = np.clip(rho, -1.0, 1.0)
     m1 = t1 / s1
     m2 = t2 / s2
-    e_abs_q = m2 * erf(m2 / _SQRT2) + 2.0 * std_normal_pdf(m2)
+    e_abs_q = folded_mean(m2, 1.0)
     e_theta_q2 = (1.0 + m2 * m2) * std_normal_cdf(m2) + m2 * std_normal_pdf(m2)
     e_q_abs_q = 2.0 * e_theta_q2 - (1.0 + m2 * m2)
     return s1 * s2 * (rho * (e_q_abs_q - m2 * e_abs_q) + m1 * e_abs_q)
@@ -250,46 +235,14 @@ def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
     return s1, s2, rho, t1, t2
 
 
-def _moment_step(s1, s2, rho, t1, t2, a: float) -> KernelState:
+def _moment_step(s1, s2, rho, t1, t2, a: float):
     # LReLU moment maps of the (x, x), (y, y) and (x, y) pre-activation
-    # pairs, then of the two means
-    return KernelState(
-        lrelu_kernel(s1, s1, 1.0, t1, t1, a),
-        lrelu_kernel(s2, s2, 1.0, t2, t2, a),
-        lrelu_kernel(s1, s2, rho, t1, t2, a),
-        lrelu_mean(t1, s1, a),
-        lrelu_mean(t2, s2, a))
-
-
-def input_state(x, y, first_layer: LayerHyper, n0: int, a: float) -> KernelState:
-    """Post-activation state after layer one.
-
-    The first-layer pre-activation for input x has mean mu * mean(x) and
-    std-dev sigma * ||x|| / sqrt(n0); one LReLU moment step turns that into
-    the layer-one (k, m) state.  Its fields are (N, M)-shaped for N rows x
-    and M rows y; a single input vector counts as one row.
-    """
-    return _moment_step(*_first_layer_preactivation(x, y, first_layer, n0), a)
-
-
-def layer_step(state: KernelState, layer: LayerHyper, a: float,
-               layer_index: int = 0) -> KernelState:
-    """One hidden-layer update of the (k, m) state.
-
-    Builds the pre-activation pair with s_i = sigma sqrt(k_ii), correlation
-    k_xy / sqrt(k_xx k_yy) and means mu * m, then applies the LReLU moment
-    maps to all three pairs.
-    """
-    k_xx = np.asarray(state.k_xx, dtype=float)
-    k_yy = np.asarray(state.k_yy, dtype=float)
-    if np.any(k_xx < VANISHED_TOL) or np.any(k_yy < VANISHED_TOL):
-        bad = min(float(np.min(k_xx)), float(np.min(k_yy)))
-        raise VanishedSignalError(layer_index, bad)
-    return _moment_step(
-        layer.sigma * np.sqrt(k_xx), layer.sigma * np.sqrt(k_yy),
-        np.clip(np.asarray(state.k_xy) / np.sqrt(k_xx * k_yy), -1.0, 1.0),
-        layer.mu * np.asarray(state.m_x, dtype=float),
-        layer.mu * np.asarray(state.m_y, dtype=float), a)
+    # pairs, then of the two means: the next (k_xx, k_yy, k_xy, m_x, m_y)
+    return (lrelu_kernel(s1, s1, 1.0, t1, t1, a),
+            lrelu_kernel(s2, s2, 1.0, t2, t2, a),
+            lrelu_kernel(s1, s2, rho, t1, t2, a),
+            lrelu_mean(t1, s1, a),
+            lrelu_mean(t2, s2, a))
 
 
 def _recurse(x, y, net: NetworkHyper):
@@ -299,14 +252,25 @@ def _recurse(x, y, net: NetworkHyper):
     if net.final_layer_linear and depth == 1:
         return linear_kernel(*_first_layer_preactivation(x, y, layers[0],
                                                          net.input_dim))
-    state = input_state(x, y, layers[0], net.input_dim, net.slope_a)
+    # the first-layer pre-activation is not kept: its (N, M) rho would stay
+    # alive through every hidden layer
+    k_xx, k_yy, k_xy, m_x, m_y = _moment_step(
+        *_first_layer_preactivation(x, y, layers[0], net.input_dim),
+        net.slope_a)
     last_hidden = depth - 1 if net.final_layer_linear else depth
     for l in range(2, last_hidden + 1):
-        state = layer_step(state, layers[l - 1], net.slope_a, layer_index=l)
+        if np.any(k_xx < VANISHED_TOL) or np.any(k_yy < VANISHED_TOL):
+            raise VanishedSignalError(l, min(float(np.min(k_xx)),
+                                             float(np.min(k_yy))))
+        layer = layers[l - 1]
+        k_xx, k_yy, k_xy, m_x, m_y = _moment_step(
+            layer.sigma * np.sqrt(k_xx), layer.sigma * np.sqrt(k_yy),
+            np.clip(k_xy / np.sqrt(k_xx * k_yy), -1.0, 1.0),
+            layer.mu * m_x, layer.mu * m_y, net.slope_a)
     if net.final_layer_linear:
         out = layers[-1]
-        return out.sigma ** 2 * state.k_xy + out.mu ** 2 * state.m_x * state.m_y
-    return state.k_xy
+        return out.sigma ** 2 * k_xy + out.mu ** 2 * m_x * m_y
+    return k_xy
 
 
 def deep_kernel(x, y, net: NetworkHyper) -> float:

@@ -18,10 +18,10 @@ def test_hyper_prior_modes():
     mode_s2 = prior.ig_scale / (prior.ig_shape + 1.0)
     assert abs(mode_s2 - 6.0 / 3.5) < 1e-12
     s2 = np.linspace(0.3, 6.0, 400)
-    vals = hyper_prior_logpdf(-1.0, s2, prior)
+    vals = hyper_prior_logpdf(-1.0, s2)
     assert abs(s2[np.argmax(vals)] - mode_s2) < 0.02
     mus = np.linspace(-4, 2, 400)
-    vals = hyper_prior_logpdf(mus, mode_s2, prior)
+    vals = hyper_prior_logpdf(mus, mode_s2)
     assert abs(mus[np.argmax(vals)] + 1.0) < 0.02
     assert hyper_prior_logpdf(-1.0, mode_s2) > hyper_prior_logpdf(-1.0, 10.0)
     with pytest.raises(ValueError):
@@ -43,7 +43,7 @@ def test_grid_eval_surfaces():
                      "log-posterior", 0.1)
     # posterior surface = evidence surface + prior surface, cellwise
     mu, s2 = SMALL_GRID.axes()
-    prior = hyper_prior_logpdf(mu[:, None], s2[None, :], HyperPrior())
+    prior = hyper_prior_logpdf(mu[:, None], s2[None, :])
     finite = np.isfinite(ml.values)
     assert np.allclose(post.values[finite], (ml.values + prior)[finite],
                        rtol=0, atol=1e-10)

@@ -1,16 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mlpgp.kernels import (DegenerateInputError, KernelState, LayerHyper,
-                           NetworkHyper, VanishedSignalError, abs_kernel,
-                           arccos_reference, constant_hyper, cross_term,
-                           deep_kernel, folded_mean, input_state,
-                           kernel_matrix, layer_step, linear_kernel,
-                           lrelu_kernel, lrelu_mean,
-                           single_layer_kernel_with_bias)
+from mlpgp.kernels import (VANISHED_TOL, DegenerateInputError, LayerHyper,
+                           NetworkHyper, VanishedSignalError, _moment_step,
+                           abs_kernel, arccos_reference, constant_hyper,
+                           cross_term, deep_kernel, folded_mean,
+                           kernel_matrix, linear_kernel, lrelu_kernel,
+                           lrelu_mean, single_layer_kernel_with_bias)
 
 from _oracles import bivariate_mc, bivariate_moment_oracle, leaky_relu, \
-    weightspace_kernel_mc
+    univariate_expect, weightspace_kernel_mc
 
 SQRT2 = np.sqrt(2.0)
 
@@ -19,7 +20,7 @@ ABS_GENERIC = 1.5145414110076927          # (1.3, 0.8, -0.35, 0.7, -1.1)
 CROSS_SPEC = 0.04879307465793131          # (1, 1, 0.5, 0.2, -0.3)
 CROSS_GENERIC = -0.6557451772285137       # (0.9, 1.7, -0.6, -0.4, 0.25)
 LRELU_GENERIC = 0.3765625590469272        # (1.1, 0.6, 0.3, -0.5, 0.8), a=-0.25
-LAYER_KXY = 0.33848644588774396           # state (1,1,.5,.4,.4), mu=-1, s=sqrt2
+LAYER_KXY = 0.33848644588774396           # (sqrt2, sqrt2, 0.5, -0.4, -0.4), a=0
 BIAS_GENERIC = 0.3439509608096999         # see test_single_layer_bias_generic
 
 
@@ -123,63 +124,73 @@ def test_monte_carlo_agreement_single_layer_moments():
 
 
 def test_input_state_canonical_values():
-    layer = LayerHyper(0.0, SQRT2)
-    st = input_state([1.0, 0.0], [1.0, 0.0], layer, 2, 0.0)
-    # layer-one pre-activation is standard normal here; ReLU moments follow
-    assert abs(st.k_xx - 0.5) < 1e-14
-    assert st.k_xx == st.k_yy == st.k_xy
-    assert st.m_x == st.m_y
-    assert abs(st.m_x - 1 / np.sqrt(2 * np.pi)) < 1e-15
-    orth = input_state([1.0, 0.0], [0.0, 1.0], layer, 2, 0.0)
-    assert abs(orth.k_xy - 1 / (2 * np.pi)) < 1e-14
-    assert abs(orth.k_xy / orth.k_xx - arccos_reference(np.pi / 2, 0.0, 1)) < 1e-13
+    # one LReLU layer whose pre-activation is standard normal for unit inputs
+    net = NetworkHyper(0.0, 2, (LayerHyper(0.0, SQRT2),), False)
+    x, y = [1.0, 0.0], [0.0, 1.0]
+    diag = deep_kernel(x, x, net)
+    assert abs(diag - 0.5) < 1e-14
+    assert diag == deep_kernel(y, y, net)
+    k_xx, k_yy, k_xy, m_x, m_y = _moment_step(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    assert k_xx == k_yy == k_xy == diag
+    assert m_x == m_y
+    assert abs(m_x - 1 / np.sqrt(2 * np.pi)) < 1e-15
+    orth = deep_kernel(x, y, net)
+    assert abs(orth - 1 / (2 * np.pi)) < 1e-14
+    assert abs(orth / diag - arccos_reference(np.pi / 2, 0.0, 1)) < 1e-13
 
 
 def test_input_state_nonzero_mean_matches_quadrature():
     layer = LayerHyper(-0.9, 1.3)
     x = np.array([0.6, -0.2, 1.1])
     y = np.array([-0.4, 0.9, 0.3])
-    st = input_state(x, y, layer, 3, 0.2)
+    got = deep_kernel(x, y, NetworkHyper(0.2, 3, (layer,), False))
     s1 = layer.sigma * np.linalg.norm(x) / np.sqrt(3)
     s2 = layer.sigma * np.linalg.norm(y) / np.sqrt(3)
     rho = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
     t1 = layer.mu * x.mean()
     t2 = layer.mu * y.mean()
     want = bivariate_moment_oracle("lrelu", "lrelu", s1, s2, rho, t1, t2, a=0.2)
-    assert abs(st.k_xy - want) < 1e-10
+    assert abs(got - want) < 1e-10
 
 
 def test_input_state_degenerate_input():
+    net = constant_hyper(0.0, 1.0, 2, 2)
+    X = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateInputError):
-        input_state([0.0, 0.0], [1.0, 0.0], LayerHyper(0.0, 1.0), 2, 0.0)
+        kernel_matrix(X, X, net)
 
 
 def test_layer_step_relu_unit():
-    st = layer_step(KernelState(1.0, 1.0, 0.0, 0.0, 0.0),
-                    LayerHyper(0.0, SQRT2), 0.0, 2)
-    assert abs(st.k_xx - 1.0) < 1e-14
-    assert abs(st.k_xy - 1 / np.pi) < 1e-14
-    assert abs(st.m_x - 1 / np.sqrt(np.pi)) < 1e-14
+    # hidden layer (mu, sigma) = (0, sqrt2) on the state (1, 1, 0, 0, 0)
+    k_xx, _, k_xy, m_x, _ = _moment_step(SQRT2, SQRT2, 0.0, 0.0, 0.0, 0.0)
+    assert abs(k_xx - 1.0) < 1e-14
+    assert abs(k_xy - 1 / np.pi) < 1e-14
+    assert abs(m_x - 1 / np.sqrt(np.pi)) < 1e-14
     # rho = 1 is a fixed point of the normalised recursion
-    st2 = layer_step(KernelState(1.0, 1.0, 1.0, 0.3, 0.3),
-                     LayerHyper(0.0, SQRT2), 0.0, 2)
-    assert abs(st2.k_xy - st2.k_xx) < 1e-14
+    k_xx, _, k_xy, _, _ = _moment_step(SQRT2, SQRT2, 1.0, 0.0, 0.0, 0.0)
+    assert abs(k_xy - k_xx) < 1e-14
 
 
 def test_layer_step_generic_oracle():
-    st = layer_step(KernelState(1.0, 1.0, 0.5, 0.4, 0.4),
-                    LayerHyper(-1.0, SQRT2), 0.0, 2)
-    assert abs(st.k_xy - LAYER_KXY) < 1e-12
-    from _oracles import univariate_expect
+    # hidden layer (mu, sigma) = (-1, sqrt2) on the state (1, 1, 0.5, 0.4, 0.4)
+    k_xy = lrelu_kernel(SQRT2, SQRT2, 0.5, -0.4, -0.4, 0.0)
+    assert abs(k_xy - LAYER_KXY) < 1e-12
     want_m = univariate_expect(lambda g: leaky_relu(g, 0.0), -0.4, SQRT2)
-    assert abs(st.m_x - want_m) < 1e-10
+    assert abs(lrelu_mean(-0.4, SQRT2, 0.0) - want_m) < 1e-10
 
 
 def test_layer_step_vanished_signal():
-    with pytest.raises(VanishedSignalError) as err:
-        layer_step(KernelState(1e-301, 1.0, 0.0, 0.0, 0.0),
-                   LayerHyper(0.0, 1.0), 0.0, layer_index=7)
-    assert err.value.layer == 7
+    # layer two's sigma of 1e-160 squares into a subnormal k_xx = 2.5e-321
+    net = NetworkHyper(0.0, 2, (LayerHyper(0.0, SQRT2), LayerHyper(0.0, 1e-160),
+                                LayerHyper(0.0, 1.0)), False)
+    X = np.array([[1.0, 0.0], [0.6, 0.8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(VanishedSignalError) as err:
+            kernel_matrix(X, X, net)
+    assert err.value.layer == 3
+    assert 0.0 < err.value.value < VANISHED_TOL
+    assert np.isclose(err.value.value, 2.5e-321, rtol=1e-2, atol=0.0)
 
 
 def test_layer_step_preserves_cauchy_schwarz():
@@ -191,9 +202,45 @@ def test_layer_step_preserves_cauchy_schwarz():
         mx, my = rng.normal(0, 1, 2)
         layer = LayerHyper(rng.normal(0, 1), rng.uniform(0.3, 2.0))
         a = rng.uniform(-0.9, 0.9)
-        out = layer_step(KernelState(kxx, kyy, kxy, mx, my), layer, a)
-        assert out.k_xy ** 2 <= out.k_xx * out.k_yy * (1 + 1e-12)
-        assert out.k_xx >= 0 and out.k_yy >= 0
+        out_xx, out_yy, out_xy, _, _ = _moment_step(
+            layer.sigma * np.sqrt(kxx), layer.sigma * np.sqrt(kyy),
+            np.clip(kxy / np.sqrt(kxx * kyy), -1.0, 1.0),
+            layer.mu * mx, layer.mu * my, a)
+        assert out_xy ** 2 <= out_xx * out_yy * (1 + 1e-12)
+        assert out_xx >= 0 and out_yy >= 0
+
+
+def test_two_layer_nonzero_mean_matches_nested_quadrature():
+    # layer-one moments by quadrature, mapped to the layer-two pre-activation
+    # (sigma sqrt(k), k_xy / sqrt(k_xx k_yy), mu m), then quadrature again
+    a = -0.3
+    layers = (LayerHyper(0.7, 1.2), LayerHyper(-0.8, 1.5))
+    net = NetworkHyper(a, 3, layers, False)
+    X = np.array([[0.6, -0.2, 1.1], [0.3, 0.5, -0.9]])
+    Y = np.array([[-0.4, 0.9, 0.3], [1.0, 0.2, 0.4]])
+    K = kernel_matrix(X, Y, net)
+
+    def relu_a(g):
+        return leaky_relu(g, a)
+
+    def layer_one(v):
+        s = layers[0].sigma * np.linalg.norm(v) / np.sqrt(3)
+        t = layers[0].mu * v.mean()
+        return (s, t, univariate_expect(lambda g: relu_a(g) ** 2, t, s),
+                univariate_expect(relu_a, t, s))
+
+    for i, x in enumerate(X):
+        for j, y in enumerate(Y):
+            s1, t1, k_xx, m_x = layer_one(x)
+            s2, t2, k_yy, m_y = layer_one(y)
+            rho = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
+            k_xy = bivariate_moment_oracle("lrelu", "lrelu", s1, s2, rho,
+                                           t1, t2, a=a)
+            mu, sigma = layers[1].mu, layers[1].sigma
+            want = bivariate_moment_oracle(
+                "lrelu", "lrelu", sigma * np.sqrt(k_xx), sigma * np.sqrt(k_yy),
+                k_xy / np.sqrt(k_xx * k_yy), mu * m_x, mu * m_y, a=a)
+            assert abs(K[i, j] - want) < 1e-10
 
 
 def test_deep_kernel_zero_mean_equivalence():
