@@ -94,8 +94,9 @@ class RCEScheme:
         shift = self.shift(A, C) if callable(self.shift) else self.shift
         return scale, shift
 
-    def hyperparams(self, A: float = 0.0) -> Tuple[float, float]:
-        return float(self.mu_of(A)), float(self.sigma_of(A))
+    def hyperparams(self, A=0.0) -> Tuple:
+        """(mu, sigma) of the limiting kernel at latent A: a float or array."""
+        return self.mu_of(A), self.sigma_of(A)
 
 
 WeightScheme = Union[IIDGaussian, RCEScheme]

@@ -115,20 +115,22 @@ def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
     return PosteriorPredictive(K_sx @ alpha, cov, jit)
 
 
-def log_marginal_likelihood(X, y, model: GPModel, return_jitter: bool = False):
-    """Gaussian log marginal likelihood of y under the model at inputs X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    K = kernel_matrix(X, X, model.net) + model.noise_var * np.eye(n)
-    L, jit = _chol_with_jitter(K)
+def _lml_from_gram(K, y, noise_var: float):
+    # (log marginal likelihood, jitter) of y given the noise-free Gram K
+    n = K.shape[0]
+    L, jit = _chol_with_jitter(K + noise_var * np.eye(n))
     alpha = sla.cho_solve((L, True), y)
     lml = (-0.5 * float(y @ alpha)
            - float(np.sum(np.log(np.diag(L))))
            - 0.5 * n * np.log(2.0 * np.pi))
-    if return_jitter:
-        return lml, jit
-    return lml
+    return lml, jit
+
+
+def log_marginal_likelihood(X, y, model: GPModel) -> float:
+    """Gaussian log marginal likelihood of y under the model at inputs X."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _lml_from_gram(kernel_matrix(X, X, model.net),
+                          np.asarray(y, dtype=float), model.noise_var)[0]
 
 
 def perturbation_bound(Xstar, X, y, net: NetworkHyper, c1: float, c2: float,

@@ -11,9 +11,10 @@ from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
-from .gp import FactorizationError, GPModel, log_marginal_likelihood, \
+from .gp import FactorizationError, GPModel, _lml_from_gram, \
     posterior_predictive
-from .kernels import LayerHyper, NetworkHyper, VanishedSignalError
+from .kernels import LayerHyper, NetworkHyper, VanishedSignalError, \
+    _batch_slices, kernel_matrix
 
 __all__ = [
     "HyperPrior",
@@ -153,16 +154,16 @@ def hyper_prior_logpdf(mu: float, sigma2: float) -> float:
     return log_mu + log_s2
 
 
-def substitute_hyper(net_template: NetworkHyper, mu: float,
-                     sigma2: float) -> NetworkHyper:
+def substitute_hyper(net_template: NetworkHyper, mu, sigma2) -> NetworkHyper:
     """Place (mu, sqrt(sigma2)) in every LReLU layer of the template.
 
-    A final linear layer keeps its template values, unless it is the
+    mu and sigma2 are floats, or (G, 1, 1) arrays for a batch of G nets.  A
+    final linear layer keeps its template values, unless it is the
     template's only layer.
     """
-    if sigma2 <= 0.0:
+    if np.any(sigma2 <= 0.0):
         raise ValueError("sigma2 must be positive")
-    sub = LayerHyper(float(mu), float(np.sqrt(sigma2)))
+    sub = LayerHyper(mu, np.sqrt(sigma2))
     layers = list(net_template.layers)
     stop = len(layers)
     if net_template.final_layer_linear and stop > 1:
@@ -173,25 +174,32 @@ def substitute_hyper(net_template: NetworkHyper, mu: float,
                         tuple(layers), net_template.final_layer_linear)
 
 
-def _log_target(X, y, net_template: NetworkHyper, prior: Optional[HyperPrior],
-                noise_var: float, mu: float, sigma2: float):
-    """(log p(y | mu, sigma^2) [+ log hyper-prior], jitter) at one point.
-
-    The value is -inf, with jitter 0, where the Gram matrix cannot be
-    factorised or the evidence is not finite.
+def _log_targets(X, y, net_template: NetworkHyper,
+                 prior: Optional[HyperPrior], noise_var: float, mu, sigma2):
+    """log p(y | mu, sigma^2) [+ log hyper-prior] and jitter at each point of
+    the 1-D arrays mu, sigma2, by batched Grams; -inf, with jitter 0, where
+    the signal vanished, the Gram is not factorisable or the value not finite.
     """
-    net = substitute_hyper(net_template, mu, sigma2)
-    try:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    values = np.full(mu.size, -np.inf)
+    jitters = np.zeros(mu.size)
+    for chunk in _batch_slices(mu.size, X.shape[0] ** 2):
+        net = substitute_hyper(net_template, mu[chunk, None, None],
+                               sigma2[chunk, None, None])
         with np.errstate(over="ignore", invalid="ignore"):
-            lml, jit = log_marginal_likelihood(
-                X, y, GPModel(net, noise_var), return_jitter=True)
-    except (FactorizationError, VanishedSignalError, FloatingPointError):
-        return -np.inf, 0.0
-    if not np.isfinite(lml):
-        return -np.inf, 0.0
-    if prior is not None:
-        lml += hyper_prior_logpdf(mu, sigma2)
-    return lml, jit
+            K, vanished = kernel_matrix(X, X, net)
+            for i in np.flatnonzero(~vanished):
+                try:
+                    lml, jit = _lml_from_gram(K[i], y, noise_var)
+                except (FactorizationError, FloatingPointError):
+                    continue
+                if np.isfinite(lml):
+                    g = chunk.start + i
+                    if prior is not None:
+                        lml += hyper_prior_logpdf(mu[g], sigma2[g])
+                    values[g], jitters[g] = lml, jit
+    return values, jitters
 
 
 def gp_log_posterior(X, y, net_template: NetworkHyper,
@@ -205,8 +213,8 @@ def gp_log_posterior(X, y, net_template: NetworkHyper,
         mu, sigma2 = float(theta[0]), float(theta[1])
         if sigma2 <= 0.0 or not np.isfinite(mu) or not np.isfinite(sigma2):
             return -np.inf
-        return _log_target(X, y, net_template, prior, noise_var, mu,
-                           sigma2)[0]
+        return _log_targets(X, y, net_template, prior, noise_var,
+                            np.array([mu]), np.array([sigma2]))[0][0]
 
     return logp
 
@@ -223,18 +231,13 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
         raise ValueError("target must be 'log-ml' or 'log-posterior'")
     prior = HyperPrior() if target == "log-posterior" else None
     mu_axis, sig2_axis = spec.axes()
-    values = np.empty((mu_axis.size, sig2_axis.size))
-    n_failed = 0
-    jitter_events = 0
-    for i, mu in enumerate(mu_axis):
-        for j, s2 in enumerate(sig2_axis):
-            val, jit = _log_target(X, y, net_template, prior, noise_var,
-                                   float(mu), float(s2))
-            if val == -np.inf:
-                n_failed += 1
-            elif jit > 0.0:
-                jitter_events += 1
-            values[i, j] = val
+    mu, sig2 = (a.ravel() for a in np.meshgrid(mu_axis, sig2_axis,
+                                               indexing="ij"))
+    values, jitters = _log_targets(X, y, net_template, prior, noise_var, mu,
+                                   sig2)
+    values = values.reshape(mu_axis.size, sig2_axis.size)
+    n_failed = int(np.count_nonzero(values == -np.inf))
+    jitter_events = int(np.count_nonzero(jitters > 0.0))
     if not np.any(np.isfinite(values)):
         raise FactorizationError("every grid cell failed to factorise")
 

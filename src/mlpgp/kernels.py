@@ -8,7 +8,8 @@ t1, t2 as plain broadcast-compatible floats or arrays, and check nothing:
 `LayerHyper`, `NetworkHyper` and the recursion's zero-norm and vanished-
 signal checks keep them on their domain.  Broadcasting is what makes
 `kernel_matrix` cheap: the whole Gram recursion runs on (N, 1) / (1, M) /
-(N, M) shaped arrays.
+(N, M) shaped arrays, or (G, N, M) ones for a batch of G nets (`LayerHyper`
+values of shape (G, 1, 1)), whose slices `bvn_cdf`'s quadrature sums apart.
 
 The recursion is one loop in `_recurse` over the hidden layers.  It carries
 five arrays, the unnormalised post-activation second moments k_xx, k_yy,
@@ -49,6 +50,9 @@ SIN_THETA_TOL = 1e-7
 # second moments below this are treated as a vanished signal
 VANISHED_TOL = 1e-300
 
+# Gram entries per batched kernel_matrix call; bounds a sweep's memory
+BATCH_ENTRIES = 2 ** 12
+
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -74,16 +78,17 @@ class LayerHyper:
     mu is the layer-average mean before the extra 1/n scaling; sigma > 0.
     For row-column-exchangeable priors factored per Assumption-2 style
     schemes these are the effective per-layer values (first/second moment
-    factors collapsed in), so the same recursion applies unchanged.
+    factors collapsed in), so the same recursion applies unchanged.  Either
+    value may be a (G, 1, 1) array, for a batch of G nets.
     """
 
-    mu: float
-    sigma: float
+    mu: ArrayLike
+    sigma: ArrayLike
 
     def __post_init__(self):
-        if not np.isfinite(self.mu):
+        if not np.all(np.isfinite(self.mu)):
             raise ValueError("layer mean must be finite")
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
+        if not np.all((self.sigma > 0.0) & np.isfinite(self.sigma)):
             raise ValueError("layer sigma must be positive and finite")
 
 
@@ -168,11 +173,12 @@ def abs_kernel(s1, s2, rho, t1, t2) -> np.ndarray:
             m1[colinear], sign * m2[colinear])
 
     if np.any(regular):
+        slices = np.nonzero(regular)[0] if regular.ndim == 3 else None
         s1r, s2r = s1[regular], s2[regular]
         r = rho[regular]
         m1r, m2r = m1[regular], m2[regular]
         st = sin_t[regular]
-        quadrant = 4.0 * bvn_cdf(m1r, m2r, r) \
+        quadrant = 4.0 * bvn_cdf(m1r, m2r, r, _slices=slices) \
             - 2.0 * std_normal_cdf(m1r) - 2.0 * std_normal_cdf(m2r) + 1.0
         term1 = (m1r * m2r + r) * quadrant
         term2 = 2.0 * m1r * std_normal_pdf(m2r) * erf((m1r - r * m2r) / (_SQRT2 * st))
@@ -246,12 +252,15 @@ def _moment_step(s1, s2, rho, t1, t2, a: float):
 
 
 def _recurse(x, y, net: NetworkHyper):
-    # shared by deep_kernel / kernel_matrix; returns the final second moment
+    # shared by deep_kernel / kernel_matrix: the final second moment, and the
+    # (G,) vanished mask of a batch (0-d, and raising instead, if unbatched)
     layers = net.layers
     depth = len(layers)
+    vanished = np.zeros(np.broadcast_shapes(*(
+        np.shape(v) for lay in layers for v in (lay.mu, lay.sigma)))[:1], bool)
     if net.final_layer_linear and depth == 1:
-        return linear_kernel(*_first_layer_preactivation(x, y, layers[0],
-                                                         net.input_dim))
+        return linear_kernel(*_first_layer_preactivation(
+            x, y, layers[0], net.input_dim)), vanished
     # the first-layer pre-activation is not kept: its (N, M) rho would stay
     # alive through every hidden layer
     k_xx, k_yy, k_xy, m_x, m_y = _moment_step(
@@ -259,9 +268,16 @@ def _recurse(x, y, net: NetworkHyper):
         net.slope_a)
     last_hidden = depth - 1 if net.final_layer_linear else depth
     for l in range(2, last_hidden + 1):
-        if np.any(k_xx < VANISHED_TOL) or np.any(k_yy < VANISHED_TOL):
-            raise VanishedSignalError(l, min(float(np.min(k_xx)),
-                                             float(np.min(k_yy))))
+        low = np.any((k_xx < VANISHED_TOL) | (k_yy < VANISHED_TOL), (-2, -1))
+        if np.any(low):
+            if vanished.ndim == 0:
+                raise VanishedSignalError(l, min(float(np.min(k_xx)),
+                                                 float(np.min(k_yy))))
+            # a vanished slice goes on from a unit state: no warnings
+            vanished |= low
+            k_xx, k_yy, k_xy, m_x, m_y = (
+                np.where(vanished[:, None, None], 1.0, v)
+                for v in (k_xx, k_yy, k_xy, m_x, m_y))
         layer = layers[l - 1]
         k_xx, k_yy, k_xy, m_x, m_y = _moment_step(
             layer.sigma * np.sqrt(k_xx), layer.sigma * np.sqrt(k_yy),
@@ -269,8 +285,8 @@ def _recurse(x, y, net: NetworkHyper):
             layer.mu * m_x, layer.mu * m_y, net.slope_a)
     if net.final_layer_linear:
         out = layers[-1]
-        return out.sigma ** 2 * k_xy + out.mu ** 2 * m_x * m_y
-    return k_xy
+        return out.sigma ** 2 * k_xy + out.mu ** 2 * m_x * m_y, vanished
+    return k_xy, vanished
 
 
 def deep_kernel(x, y, net: NetworkHyper) -> float:
@@ -279,21 +295,31 @@ def deep_kernel(x, y, net: NetworkHyper) -> float:
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("deep_kernel expects single input vectors")
-    return float(_recurse(x, y, net)[0, 0])
+    return float(_recurse(x, y, net)[0][0, 0])
 
 
 def kernel_matrix(X, Y, net: NetworkHyper) -> np.ndarray:
     """Gram matrix with entry (i, j) = deep_kernel(X[i], Y[j]).
 
     The recursion runs vectorised over all pairs at once; output values do
-    not depend on evaluation order.
+    not depend on evaluation order.  A batch of G nets gives (K, vanished):
+    the (G, N, M) stack of Grams, each slice bit-identical to its own net's,
+    and the (G,) mask of slices whose signal vanished; they hold NaN.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    K = _recurse(X, Y, net)
+    K, vanished = _recurse(X, Y, net)
     if X.shape == Y.shape and np.array_equal(X, Y):
-        K = 0.5 * (K + K.T)
-    return K
+        K = 0.5 * (K + np.swapaxes(K, -1, -2))
+    if vanished.ndim:
+        K[vanished] = np.nan
+    return (K, vanished) if vanished.ndim else K
+
+
+def _batch_slices(n_nets, entries):
+    # chunks of n_nets Grams of `entries` entries, BATCH_ENTRIES per chunk
+    step = max(1, BATCH_ENTRIES // max(1, entries))
+    return [slice(lo, lo + step) for lo in range(0, n_nets, step)]
 
 
 def arccos_reference(theta0: float, a: float, L: int) -> float:

@@ -9,8 +9,7 @@ from scipy.spatial.distance import cdist
 from .finite_net import (END_SIGMA, IIDGaussian, RCEScheme, WeightScheme,
                          _uniform_latent)
 from .gp import FactorizationError, GPModel, _chol_with_jitter, sample_prior
-from .kernels import LayerHyper, NetworkHyper, VanishedSignalError, \
-    kernel_matrix
+from .kernels import LayerHyper, NetworkHyper, _batch_slices, kernel_matrix
 
 __all__ = [
     "mmd2_unbiased",
@@ -90,7 +89,8 @@ def limiting_hyper(scheme: WeightScheme, depth: int, input_dim: int,
     iid schemes carry (mu, sigma) in every layer.  RCE schemes keep the
     zero-mean Gaussian ends and put the scheme's effective hyperparameters
     in the hidden layers; A_values supplies the per-layer global latents
-    for random-hyperparameter schemes (one per hidden layer 2..L-1).
+    for random-hyperparameter schemes (one per hidden layer 2..L-1), each a
+    float or a (G, 1, 1) array for a batch of G nets.
     """
     if isinstance(scheme, IIDGaussian):
         layers = tuple(LayerHyper(scheme.mu, scheme.sigma) for _ in range(depth))
@@ -201,27 +201,31 @@ def _gp_samples(scheme, depth, S, n_samples, a, seed_seq):
         return sample_prior(S, GPModel(net, 0.0), n_samples, seed_seq)
     rng = np.random.default_rng(seed_seq)
     n_internal = max(depth - 2, 0)
-    out = np.empty((n_samples, S.shape[0]))
+    n_probe = S.shape[0]
+    A = np.empty((n_samples, n_internal))
+    z = np.empty((n_samples, n_probe))
     for i in range(n_samples):
-        A_values = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), n_internal)
-        net = limiting_hyper(scheme, depth, S.shape[1], a, A_values)
-        z = rng.standard_normal(S.shape[0])
-        # hyperparameter draws with vanishing layer scale collapse the
-        # kernel to (numerically) zero; the limiting function is the zero
-        # function there
-        try:
-            K = kernel_matrix(S, S, net)
-        except VanishedSignalError:
-            out[i] = 0.0
-            continue
-        try:
-            L, _ = _chol_with_jitter(K)
-        except FactorizationError:
-            if np.max(np.abs(K)) < 1e-12:
-                out[i] = 0.0
+        A[i] = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), n_internal)
+        z[i] = rng.standard_normal(n_probe)
+    out = np.zeros((n_samples, n_probe))
+    for chunk in _batch_slices(n_samples, n_probe * n_probe):
+        net = limiting_hyper(scheme, depth, S.shape[1], a,
+                             [A[chunk, j, None, None]
+                              for j in range(n_internal)])
+        K = kernel_matrix(S, S, net)  # unbatched if no hidden layer holds A
+        K, vanished = K if n_internal else ([K] * len(A), [False] * len(A))
+        for i, K_i, gone in zip(range(n_samples)[chunk], K, vanished):
+            # a draw whose signal vanished, or whose Gram is (numerically)
+            # zero, is the zero function: the limit of a vanishing layer scale
+            if gone:
                 continue
-            raise
-        out[i] = L @ z
+            try:
+                L, _ = _chol_with_jitter(K_i)
+            except FactorizationError:
+                if np.max(np.abs(K_i)) < 1e-12:
+                    continue
+                raise
+            out[i] = L @ z[i]
     return out
 
 

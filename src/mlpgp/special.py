@@ -75,18 +75,28 @@ def bvn_pdf(h, k, rho):
     return np.exp(-quad) * _INV_2PI / np.sqrt(omr2)
 
 
-def _bvn_cdf_moderate(h, k, rho):
+def _gl_sum(vals, slices):
+    # one gemv per batch slice: OpenBLAS gemv computes rows in blocks of 4 and
+    # rounds tail rows differently, so a row's bits depend on its place in the
+    # call (Owen's T, with no quadrature, would delete this)
+    if slices is None or slices[0] == slices[-1]:
+        return vals @ _GL_WEIGHTS
+    cuts = np.flatnonzero(np.diff(slices)) + 1
+    return np.concatenate([p @ _GL_WEIGHTS for p in np.split(vals, cuts)])
+
+
+def _bvn_cdf_moderate(h, k, rho, slices):
     # Phi2 = Phi(h)Phi(k) + (1/2pi) * int_0^asin(rho) exp((hk sin t - hs)/cos^2 t) dt
     hk = h * k
     hs = 0.5 * (h * h + k * k)
     asr = 0.5 * np.arcsin(rho)
     sn = np.sin(asr[:, None] * _GL_NODES[None, :])
     expo = (sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)
-    total = np.exp(expo) @ _GL_WEIGHTS
+    total = _gl_sum(np.exp(expo), slices)
     return total * asr * _INV_2PI + std_normal_cdf(h) * std_normal_cdf(k)
 
 
-def _bvn_cdf_strong(h, k, rho):
+def _bvn_cdf_strong(h, k, rho, slices):
     # Change of variable x^2 = 1 - r^2 on the tail integral toward |rho| = 1;
     # the exp(-bs/2x^2) singular factor integrates in closed form against the
     # fourth-order Taylor expansion of the remaining smooth factor.
@@ -118,7 +128,7 @@ def _bvn_cdf_strong(h, k, rho):
     smooth = (np.exp(-hk[:, None] * xs / (2.0 * (1.0 + rs) ** 2)) / rs
               - (1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)))
     vals = np.where(asr_q > -100.0, np.exp(np.maximum(asr_q, -745.0)) * smooth, 0.0)
-    tail = tail + 0.5 * a * (vals @ _GL_WEIGHTS)
+    tail = tail + 0.5 * a * _gl_sum(vals, slices)
 
     # Phi2(h, k; rho) = Phi(min(h, k)) - tail/2pi            for rho > 0
     # Phi2(h, k; rho) = Phi(h) - Phi2(h, -k; -rho)            for rho < 0
@@ -126,11 +136,12 @@ def _bvn_cdf_strong(h, k, rho):
     return np.where(sign > 0, pos, std_normal_cdf(h) - pos)
 
 
-def bvn_cdf(h, k, rho):
+def bvn_cdf(h, k, rho, *, _slices=None):
     """P(Z1 <= h, Z2 <= k) for standard bivariate normals with correlation rho.
 
     Accurate to roughly 5e-15 away from |rho| = 1; correlations within 1e-15
-    of +-1 return the exact degenerate limit.
+    of +-1 return the exact degenerate limit.  `_slices`, private to the
+    batched recursion, gives each 1-D entry its nondecreasing batch slice.
     """
     h, k, rho = np.broadcast_arrays(np.asarray(h, dtype=float),
                                     np.asarray(k, dtype=float),
@@ -153,9 +164,14 @@ def bvn_cdf(h, k, rho):
     if np.any(deg_neg):
         lower = std_normal_cdf(h[deg_neg]) + std_normal_cdf(k[deg_neg]) - 1.0
         out[deg_neg] = np.maximum(0.0, lower)
+
+    def part(mask):
+        slices = None if _slices is None else _slices[mask]
+        return h[mask], k[mask], rho[mask], slices
+
     if np.any(strong):
-        out[strong] = _bvn_cdf_strong(h[strong], k[strong], rho[strong])
+        out[strong] = _bvn_cdf_strong(*part(strong))
     if np.any(moderate):
-        out[moderate] = _bvn_cdf_moderate(h[moderate], k[moderate], rho[moderate])
+        out[moderate] = _bvn_cdf_moderate(*part(moderate))
 
     return np.clip(out, 0.0, 1.0).reshape(shape)

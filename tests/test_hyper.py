@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from mlpgp import kernels
 from mlpgp.data import gen_sine
-from mlpgp.gp import GPModel, log_marginal_likelihood, posterior_predictive
+from mlpgp.gp import (FactorizationError, GPModel, _lml_from_gram,
+                      log_marginal_likelihood, posterior_predictive)
 from mlpgp.hyper import (Chain, GridSpec, HyperPrior, MHConfig, grid_eval,
                          gp_log_posterior, hyper_prior_logpdf,
                          marginal_predictive, mh_sample, random_walk_mh,
                          substitute_hyper)
-from mlpgp.kernels import LayerHyper, NetworkHyper
+from mlpgp.kernels import (LayerHyper, NetworkHyper, VanishedSignalError,
+                           kernel_matrix)
 
 TEMPLATE = NetworkHyper(0.0, 1, (LayerHyper(0.0, 1.0), LayerHyper(0.0, 1.0)), True)
 SMALL_GRID = GridSpec((-2.5, 1.0), (0.1, 8.0), 30)
@@ -77,20 +80,52 @@ def test_grid_eval_failed_cells_become_neg_inf():
     assert np.isfinite(res.argmax[2])
 
 
-def test_grid_eval_cells_match_gp_log_posterior():
-    # both share one per-point evaluator: every cell, -inf ones included,
-    # equals the MH target at the same (mu, sigma^2)
+def _unbatched_target(X, y, template, prior, noise_var, mu, s2):
+    # (value, jitter) at one point from one unbatched kernel_matrix call
+    net = substitute_hyper(template, mu, s2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lml, jit = _lml_from_gram(kernel_matrix(X, X, net), y, noise_var)
+    except (FactorizationError, VanishedSignalError):
+        return -np.inf, 0.0
+    if not np.isfinite(lml):
+        return -np.inf, 0.0
+    if prior is not None:
+        lml += hyper_prior_logpdf(mu, s2)
+    return lml, jit
+
+
+def test_grid_eval_cells_match_gp_log_posterior(monkeypatch):
+    # every cell, -inf ones included, equals the MH target and an unbatched
+    # per-point evaluation at the same (mu, sigma^2), and the counts are
+    # those of the per-point evaluation; noise_var 0 needs the jitter
+    # ladder, and the shrunk chunk budget splits the grid into 18 chunks
     ds = gen_sine(1)
-    deep = NetworkHyper(0.0, 1, tuple([LayerHyper(0.0, 1.0)] * 8), True)
     spec = GridSpec((-2.5, 1.0), (0.1, 8.0), 6)
-    for target, prior in (("log-ml", None), ("log-posterior", HyperPrior())):
-        res = grid_eval(ds.X_train, ds.y_train, deep, spec, target, 0.1)
-        logp = gp_log_posterior(ds.X_train, ds.y_train, deep, prior, 0.1)
-        want = [[logp((mu, s2)) for s2 in res.sig2_axis]
-                for mu in res.mu_axis]
-        assert np.array_equal(res.values, want)
-        assert res.n_failed > 0
-        assert type(res.n_failed) is int and type(res.jitter_events) is int
+    for depth, noise_var, chunk in ((8, 0.1, kernels.BATCH_ENTRIES),
+                                    (16, 0.1, kernels.BATCH_ENTRIES),
+                                    (8, 0.0, 250), (16, 0.0, 250)):
+        monkeypatch.setattr(kernels, "BATCH_ENTRIES", chunk)
+        deep = NetworkHyper(0.0, 1, tuple([LayerHyper(0.0, 1.0)] * depth),
+                            True)
+        for target, prior in (("log-ml", None),
+                              ("log-posterior", HyperPrior())):
+            res = grid_eval(ds.X_train, ds.y_train, deep, spec, target,
+                            noise_var)
+            logp = gp_log_posterior(ds.X_train, ds.y_train, deep, prior,
+                                    noise_var)
+            assert np.array_equal(res.values,
+                                  [[logp((mu, s2)) for s2 in res.sig2_axis]
+                                   for mu in res.mu_axis])
+            ref = np.array([[_unbatched_target(ds.X_train, ds.y_train, deep,
+                                               prior, noise_var, mu, s2)
+                             for s2 in res.sig2_axis] for mu in res.mu_axis])
+            assert np.array_equal(res.values, ref[..., 0])
+            assert res.n_failed == np.count_nonzero(ref[..., 0] == -np.inf)
+            assert res.jitter_events == np.count_nonzero(ref[..., 1] > 0.0)
+            assert res.n_failed > 0
+            assert res.jitter_events > 0 or noise_var > 0.0
+            assert type(res.n_failed) is int and type(res.jitter_events) is int
 
 
 def test_grid_constrained_max_tracks_stable_ridge():

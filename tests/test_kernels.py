@@ -323,6 +323,84 @@ def test_kernel_matrix_normalisation_identity():
         assert abs(got - arccos_reference(np.pi / 2, a, L)) < 1e-12
 
 
+def _batch(values):
+    return np.asarray(values, dtype=float).reshape(-1, 1, 1)
+
+
+def _per_slice(X, Y, nets):
+    # unbatched Grams; a slice whose signal vanishes is None
+    grams = []
+    for net in nets:
+        try:
+            grams.append(kernel_matrix(X, Y, net))
+        except VanishedSignalError:
+            grams.append(None)
+    return grams
+
+
+def _assert_batch_matches(X, Y, batched, nets):
+    K, vanished = kernel_matrix(X, Y, batched)
+    want = _per_slice(X, Y, nets)
+    assert vanished.tolist() == [w is None for w in want]
+    for got, w in zip(K, want):
+        if w is None:
+            assert np.all(np.isnan(got))
+        else:
+            assert np.array_equal(got, w)
+    return vanished
+
+
+def test_kernel_matrix_batch_equals_slices():
+    # every slice of a batched Gram has the bits of its own unbatched call;
+    # BLAS gemv rounds a row by its place in the call, so this needs one
+    # quadrature gemv per slice
+    x = np.linspace(-np.sqrt(3.0), np.sqrt(3.0), 10)[:, None]
+    mus, sig2s = (g.ravel() for g in np.meshgrid(np.linspace(-2.5, 1.0, 4),
+                                                 np.linspace(0.1, 8.0, 4)))
+    out = LayerHyper(0.0, 1.0)
+
+    def deep(mu, sigma):
+        return NetworkHyper(0.0, 1, (LayerHyper(mu, sigma),) * 15 + (out,))
+
+    batched = deep(_batch(mus), _batch(np.sqrt(sig2s)))
+    nets = [deep(m, np.sqrt(s)) for m, s in zip(mus, sig2s)]
+    # X = Y at depth 16: the (-2.5, 0.1) corner vanishes
+    assert _assert_batch_matches(x, x, batched, nets).any()
+    # X != Y
+    y = np.linspace(-1.5, 1.6, 7)[:, None]
+    _assert_batch_matches(x, y, batched, nets)
+    # f4-style: unbatched Gaussian ends around batched hidden layers
+    A = np.random.default_rng(4).uniform(-np.sqrt(3.0), np.sqrt(3.0), (2, 12))
+    end = LayerHyper(0.0, SQRT2)
+
+    def f4(A1, A2):
+        hidden = (LayerHyper(-0.1 * A * A - 0.4, 2.0 * np.abs(A + np.sqrt(3.0)))
+                  for A in (A1, A2))
+        return NetworkHyper(0.0, 3, (end, *hidden, end))
+
+    X = np.random.default_rng(5).standard_normal((4, 3))
+    _assert_batch_matches(X, X, f4(_batch(A[0]), _batch(A[1])),
+                          [f4(a1, a2) for a1, a2 in zip(*A)])
+
+
+def test_kernel_matrix_batch_marks_vanished_slice():
+    # the vanishing net of test_layer_step_vanished_signal, as the middle
+    # slice of a batch: it is marked, and the other slices are untouched
+    sigmas = [1.3, 1e-160, 0.7]
+    X = np.array([[1.0, 0.0], [0.6, 0.8]])
+
+    def net(sigma):
+        return NetworkHyper(0.0, 2, (LayerHyper(0.0, SQRT2),
+                                     LayerHyper(0.0, sigma),
+                                     LayerHyper(0.0, 1.0)), False)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vanished = _assert_batch_matches(X, X, net(_batch(sigmas)),
+                                         [net(s) for s in sigmas])
+    assert vanished.tolist() == [False, True, False]
+
+
 def test_single_layer_bias_relu_diagonal():
     got = single_layer_kernel_with_bias([1.0, 0.0], [1.0, 0.0],
                                         np.zeros(3), np.ones(3), 0.0)
@@ -360,6 +438,10 @@ def test_single_layer_bias_degenerate():
 def test_hyper_validation():
     with pytest.raises(ValueError):
         LayerHyper(0.0, 0.0)
+    with pytest.raises(ValueError):
+        LayerHyper(0.0, _batch([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        LayerHyper(_batch([0.0, np.inf]), 1.0)
     with pytest.raises(ValueError):
         NetworkHyper(1.0, 2, (LayerHyper(0.0, 1.0),), True)
     with pytest.raises(ValueError):

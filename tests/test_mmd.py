@@ -5,10 +5,11 @@ import pytest
 
 from mlpgp.finite_net import (IIDGaussian, NetworkShape, forward, get_scheme,
                               sample_weights)
-from mlpgp.kernels import LayerHyper
+from mlpgp.gp import FactorizationError, _chol_with_jitter
+from mlpgp.kernels import LayerHyper, VanishedSignalError, kernel_matrix
 from mlpgp.mmd import (convergence_experiment, limiting_hyper, mmd2_unbiased,
                        permutation_null)
-from mlpgp.mmd import _mlp_samples
+from mlpgp.mmd import _gp_samples, _mlp_samples
 
 SQRT2 = np.sqrt(2.0)
 
@@ -121,6 +122,35 @@ def test_gp_vs_gp_self_consistency():
     ys = sample_prior(S, GPModel(net, 0.0), 400, seed=2)
     lo, hi = permutation_null(xs, ys, n_perm=200, seed=4)
     assert lo <= mmd2_unbiased(xs, ys) <= hi
+
+
+def test_gp_samples_f4_match_per_draw_reference():
+    # reference: one kernel_matrix call and one Cholesky per GP draw, with
+    # the draw's A values and z vector taken from the stream in turn
+    f4 = get_scheme("f4")
+    S = np.random.default_rng(0).standard_normal((4, 10))
+    for depth in (4, 8):
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+        want = np.empty((400, 4))
+        for i in range(400):
+            A_values = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), depth - 2)
+            net = limiting_hyper(f4, depth, 10, 0.0, A_values)
+            z = rng.standard_normal(4)
+            try:
+                K = kernel_matrix(S, S, net)
+            except VanishedSignalError:
+                want[i] = 0.0
+                continue
+            try:
+                L, _ = _chol_with_jitter(K)
+            except FactorizationError:
+                assert np.max(np.abs(K)) < 1e-12
+                want[i] = 0.0
+                continue
+            want[i] = L @ z
+        got = _gp_samples(f4, depth, S, 400, 0.0, np.random.SeedSequence(0))
+        assert got.tobytes() == want.tobytes()
+        assert np.any(np.all(got == 0.0, axis=1))
 
 
 def test_convergence_experiment_small():
