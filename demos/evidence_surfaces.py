@@ -30,5 +30,5 @@ for name, ds in DATASETS:
               f"{'':>6} | {res.argmax_mu0[1]:>14.2f} | {gap:.3f}"
               + ("   <- mu != 0 wins" if gap > 0 else ""))
         if res.n_failed:
-            print(f"{'':>5}   ({res.n_failed} cells failed: "
-                  "signal vanished off the stable ridge)")
+            print(f"{'':>5}   ({res.n_failed} cells are -inf: "
+                  "Gram not factorisable or signal vanished)")

@@ -9,7 +9,7 @@ and last layers keep independent zero-mean Gaussian priors.
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, ClassVar, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "IIDGaussian",
     "RCEScheme",
     "WeightScheme",
+    "layer_prior",
     "SampledNetwork",
     "get_scheme",
     "sample_weights",
@@ -60,14 +61,24 @@ class NetworkShape:
 
 @dataclass(frozen=True)
 class IIDGaussian:
-    """Independent Gaussian prior (mu, sigma) used in every layer."""
+    """Independent Gaussian prior (mu, sigma) on every weight of a layer."""
 
     mu: float
     sigma: float
+    name: ClassVar[str] = "iid"
+    random_hyper: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+
+    def hyperparams(self, A=0.0) -> Tuple:
+        """(mu, sigma) of the limiting kernel; the same at every latent A."""
+        return self.mu, self.sigma
+
+
+def _term(f, *latents):
+    return f(*latents) if callable(f) else f
 
 
 @dataclass(frozen=True)
@@ -76,30 +87,48 @@ class RCEScheme:
 
     The generator is affine in D given the latents:
     F = scale(A) D + shift(A, C), so shift is also the conditional mean
-    E_D[F] used for centring.  Each term is a number or a callable of those
-    latents.  mu_of / sigma_of map the global latent A to the limiting
-    kernel hyperparameters of the layer.
+    E_D[F] used for centring.  mu_of / sigma_of give the limiting kernel
+    hyperparameters of the layer.  Each term is a number or a callable of
+    the latents it reads; the GP limit marginalises over A exactly when
+    mu_of or sigma_of is a callable (random_hyper).
     """
 
     name: str
     scale: Union[float, Callable]
     shift: Union[float, Callable]
-    mu_of: Callable
-    sigma_of: Callable
-    random_hyper: bool = False
+    mu_of: Union[float, Callable]
+    sigma_of: Union[float, Callable]
+
+    @property
+    def random_hyper(self) -> bool:
+        return callable(self.mu_of) or callable(self.sigma_of)
 
     def affine(self, A, C) -> Tuple:
         """(scale, shift) of the generator given the latents A and C."""
-        scale = self.scale(A) if callable(self.scale) else self.scale
-        shift = self.shift(A, C) if callable(self.shift) else self.shift
-        return scale, shift
+        return _term(self.scale, A), _term(self.shift, A, C)
 
     def hyperparams(self, A=0.0) -> Tuple:
         """(mu, sigma) of the limiting kernel at latent A: a float or array."""
-        return self.mu_of(A), self.sigma_of(A)
+        return _term(self.mu_of, A), _term(self.sigma_of, A)
 
 
 WeightScheme = Union[IIDGaussian, RCEScheme]
+
+
+def layer_prior(scheme: WeightScheme, l: int, n_layers: int) -> WeightScheme:
+    """Weight prior of layer l (1-based) of an n_layers-layer network.
+
+    RCE networks keep zero-mean Gaussians at scale END_SIGMA in their first
+    and last layers and draw every other layer from the scheme; iid
+    networks use the scheme in every layer.
+    """
+    if isinstance(scheme, IIDGaussian):
+        return scheme
+    if not isinstance(scheme, RCEScheme):
+        raise TypeError(f"unsupported weight scheme {type(scheme).__name__}")
+    if l == 1 or l == n_layers:
+        return IIDGaussian(0.0, END_SIGMA)
+    return scheme
 
 
 def _f4_sigma(convention: str) -> Callable:
@@ -117,23 +146,14 @@ def get_scheme(name: str, f4_sigma: str = "table") -> RCEScheme:
     """Preset exchangeable generators F1-F4."""
     key = name.lower()
     if key == "f1":
-        return RCEScheme(
-            "f1", scale=SQRT2, shift=0.0,
-            mu_of=lambda A: 0.0,
-            sigma_of=lambda A: SQRT2,
-        )
+        return RCEScheme("f1", scale=SQRT2, shift=0.0,
+                         mu_of=0.0, sigma_of=SQRT2)
     if key == "f2":
-        return RCEScheme(
-            "f2", scale=2.0 * SQRT2, shift=-0.5,
-            mu_of=lambda A: -0.5,
-            sigma_of=lambda A: np.sqrt(8.0),
-        )
+        return RCEScheme("f2", scale=2.0 * SQRT2, shift=-0.5,
+                         mu_of=-0.5, sigma_of=np.sqrt(8.0))
     if key == "f3":
-        return RCEScheme(
-            "f3", scale=SQRT2, shift=lambda A, C: -1.5 * A * C,
-            mu_of=lambda A: 0.0,
-            sigma_of=lambda A: SQRT2,
-        )
+        return RCEScheme("f3", scale=SQRT2, shift=lambda A, C: -1.5 * A * C,
+                         mu_of=0.0, sigma_of=SQRT2)
     if key == "f4":
         return RCEScheme(
             "f4",
@@ -141,7 +161,6 @@ def get_scheme(name: str, f4_sigma: str = "table") -> RCEScheme:
             shift=lambda A, C: -0.1 * A * A * C * C - 0.4,
             mu_of=lambda A: -0.1 * A * A - 0.4,
             sigma_of=_f4_sigma(f4_sigma),
-            random_hyper=True,
         )
     raise ValueError(f"unknown scheme {name!r}; expected f1..f4")
 
@@ -171,12 +190,11 @@ def _uniform_latent(rng, shape=None):
 
 def sample_weights(shape: NetworkShape, scheme: WeightScheme, a: float,
                    seed) -> SampledNetwork:
-    """Draw one network.
+    """Draw one network, each layer from its layer_prior.
 
-    iid mode uses W = (sigma Z + mu / sqrt(n)) / sqrt(n) in every layer.  RCE
-    mode samples the latents uniform on [-sqrt(3), sqrt(3)], centres the
-    hidden layers as W = (F - E_D[F](1 - 1/sqrt(n))) / sqrt(n), and keeps
-    zero-mean Gaussians at scale END_SIGMA in the first and last layers.
+    Gaussian layers use W = (sigma Z + mu / sqrt(n)) / sqrt(n).  RCE layers
+    sample the latents uniform on [-sqrt(3), sqrt(3)] and centre the
+    generator as W = (F - E_D[F](1 - 1/sqrt(n))) / sqrt(n).
 
     Layers draw from split substreams of `seed`, so the draw for layer l
     does not depend on the widths of other layers.
@@ -191,31 +209,24 @@ def sample_weights(shape: NetworkShape, scheme: WeightScheme, a: float,
     latents: List[Optional[Tuple[float, np.ndarray, np.ndarray]]] = []
     for l, ((n_out, n_in), rng) in enumerate(zip(dims, layer_rngs), start=1):
         root_n = np.sqrt(n_in)
-        if isinstance(scheme, IIDGaussian):
+        prior = layer_prior(scheme, l, shape.n_layers)
+        if isinstance(prior, IIDGaussian):
             z = rng.standard_normal((n_out, n_in))
-            z *= scheme.sigma
-            z += scheme.mu / root_n
+            z *= prior.sigma
+            z += prior.mu / root_n
             z /= root_n
             weights.append(z)
             latents.append(None)
-        elif isinstance(scheme, RCEScheme):
-            if l == 1 or l == shape.n_layers:
-                z = rng.standard_normal((n_out, n_in))
-                z *= END_SIGMA / root_n
-                weights.append(z)
-                latents.append(None)
-            else:
-                A = _uniform_latent(rng)
-                B = _uniform_latent(rng, (n_out, 1))
-                C = _uniform_latent(rng, (1, n_in))
-                D = _uniform_latent(rng, (n_out, n_in))
-                scale, shift = scheme.affine(A, C)
-                centred = scale * D + shift - shift * (1.0 - 1.0 / root_n)
-                centred /= root_n
-                weights.append(centred)
-                latents.append((A, B, C))
         else:
-            raise TypeError(f"unsupported weight scheme {type(scheme).__name__}")
+            A = _uniform_latent(rng)
+            B = _uniform_latent(rng, (n_out, 1))
+            C = _uniform_latent(rng, (1, n_in))
+            D = _uniform_latent(rng, (n_out, n_in))
+            scale, shift = prior.affine(A, C)
+            centred = scale * D + shift - shift * (1.0 - 1.0 / root_n)
+            centred /= root_n
+            weights.append(centred)
+            latents.append((A, B, C))
     return SampledNetwork(weights, a, latents)
 
 

@@ -6,8 +6,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .finite_net import (END_SIGMA, IIDGaussian, RCEScheme, WeightScheme,
-                         _uniform_latent)
+from .finite_net import (IIDGaussian, WeightScheme, _uniform_latent,
+                         layer_prior)
 from .gp import FactorizationError, GPModel, _chol_with_jitter, sample_prior
 from .kernels import LayerHyper, NetworkHyper, _batch_slices, kernel_matrix
 
@@ -86,29 +86,22 @@ def limiting_hyper(scheme: WeightScheme, depth: int, input_dim: int,
                    A_values: Optional[Sequence[float]] = None) -> NetworkHyper:
     """Kernel hyperparameters of the GP limit of a sampled network.
 
-    iid schemes carry (mu, sigma) in every layer.  RCE schemes keep the
-    zero-mean Gaussian ends and put the scheme's effective hyperparameters
-    in the hidden layers; A_values supplies the per-layer global latents
-    for random-hyperparameter schemes (one per hidden layer 2..L-1), each a
-    float or a (G, 1, 1) array for a batch of G nets.
+    Layer l carries the hyperparameters of its layer_prior: (mu, sigma) of
+    an iid scheme everywhere, zero-mean Gaussian ends and the scheme's
+    effective values inside for an RCE scheme.  A_values supplies the
+    global latents of the hidden layers 2..L-1 (one each, default 0), each
+    a float or a (G, 1, 1) array for a batch of G nets; only a scheme with
+    random_hyper reads them.
     """
-    if isinstance(scheme, IIDGaussian):
-        layers = tuple(LayerHyper(scheme.mu, scheme.sigma) for _ in range(depth))
-        return NetworkHyper(a, input_dim, layers, True)
-    if not isinstance(scheme, RCEScheme):
-        raise TypeError(f"unsupported weight scheme {type(scheme).__name__}")
     n_internal = max(depth - 2, 0)
     if A_values is None:
         A_values = [0.0] * n_internal
     if len(A_values) != n_internal:
         raise ValueError(f"need {n_internal} A values for depth {depth}")
-    layers = [LayerHyper(0.0, END_SIGMA)]
-    for A in A_values:
-        mu, sigma = scheme.hyperparams(A)
-        layers.append(LayerHyper(mu, sigma))
-    if depth > 1:
-        layers.append(LayerHyper(0.0, END_SIGMA))
-    return NetworkHyper(a, input_dim, tuple(layers), True)
+    layers = tuple(LayerHyper(*layer_prior(scheme, l, depth).hyperparams(A))
+                   for l, A in enumerate([0.0, *A_values, 0.0][:depth],
+                                         start=1))
+    return NetworkHyper(a, input_dim, layers, True)
 
 
 @dataclass
@@ -156,37 +149,29 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
         h = np.broadcast_to(S32, (m, n_probe, d_in))
         for l, (n_i, n_o) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
             R = bufs[(n_i, n_o)][:m]
-            gauss_end = isinstance(scheme, RCEScheme) and (l == 1 or l == depth)
-            if gauss_end:
+            prior = layer_prior(scheme, l, depth)
+            if isinstance(prior, IIDGaussian):
                 rng.standard_normal(out=R, dtype=np.float32)
-                c1 = np.float32(END_SIGMA / np.sqrt(n_i))
-                c2 = None
-            elif isinstance(scheme, IIDGaussian):
-                rng.standard_normal(out=R, dtype=np.float32)
-                c1 = np.float32(scheme.sigma / np.sqrt(n_i))
-                c2 = np.full((m, n_i, 1), scheme.mu / n_i, dtype=np.float32)
+                c1 = np.float32(prior.sigma / np.sqrt(n_i))
+                col = prior.mu / n_i
             else:
                 # latents are drawn only for the terms that read them
                 A = C = None
-                if callable(scheme.scale) or callable(scheme.shift):
+                if callable(prior.scale) or callable(prior.shift):
                     A = _uniform_latent(rng, (m, 1, 1))
                     C = _uniform_latent(rng, (m, n_i, 1))
-                scale, shift = scheme.affine(A, C)
+                scale, shift = prior.affine(A, C)
                 scale = scale / np.sqrt(n_i)
                 shift = shift / n_i
                 rng.random(out=R, dtype=np.float32)
                 # weight = scale*(2 sqrt3 u - sqrt3) + shift
-                c1 = np.asarray(2.0 * sqrt3 * np.asarray(scale, dtype=np.float32))
-                c1 = c1.reshape(-1, 1, 1) if c1.ndim else np.float32(c1)
-                col = np.asarray(shift - sqrt3 * np.asarray(scale),
-                                 dtype=np.float32)
-                c2 = np.empty((m, n_i, 1), dtype=np.float32)
-                c2[:] = np.broadcast_to(col, (m, n_i, 1)) if col.ndim \
-                    else col
+                c1 = 2.0 * sqrt3 * np.asarray(scale, dtype=np.float32)
+                col = shift - sqrt3 * np.asarray(scale)
+            c2 = np.empty((m, n_i, 1), dtype=np.float32)
+            c2[:] = col
             y = np.matmul(h, R)
             y *= c1
-            if c2 is not None:
-                y += np.matmul(h, c2)
+            y += np.matmul(h, c2)
             h = y
             if l < depth:
                 np.maximum(np.float32(a) * h, h, out=h)
@@ -196,7 +181,7 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
 
 
 def _gp_samples(scheme, depth, S, n_samples, a, seed_seq):
-    if not (isinstance(scheme, RCEScheme) and scheme.random_hyper):
+    if not scheme.random_hyper:
         net = limiting_hyper(scheme, depth, S.shape[1], a)
         return sample_prior(S, GPModel(net, 0.0), n_samples, seed_seq)
     rng = np.random.default_rng(seed_seq)
@@ -205,7 +190,7 @@ def _gp_samples(scheme, depth, S, n_samples, a, seed_seq):
     A = np.empty((n_samples, n_internal))
     z = np.empty((n_samples, n_probe))
     for i in range(n_samples):
-        A[i] = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), n_internal)
+        A[i] = _uniform_latent(rng, n_internal)
         z[i] = rng.standard_normal(n_probe)
     out = np.zeros((n_samples, n_probe))
     for chunk in _batch_slices(n_samples, n_probe * n_probe):
@@ -259,7 +244,6 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
     mmd2 = np.empty(len(widths))
     lo = np.empty(len(widths))
     hi = np.empty(len(widths))
-    name = scheme.name if isinstance(scheme, RCEScheme) else "iid"
     for i, w in enumerate(widths):
         xs = _mlp_samples(scheme, depth, w, S, n_samples, a, mlp_children[i])
         ys = _gp_samples(scheme, depth, S, n_samples, a, gp_children[i])
@@ -269,4 +253,4 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
         mmd2[i] = _mmd2_from_blocks(G[:n, :n], G[n:, n:], G[:n, n:])
         lo[i], hi[i] = _null_band_from_gram(G, n, m, n_perm,
                                             perm_children[i])
-    return ConvergenceResult(widths, mmd2, lo, hi, name, depth)
+    return ConvergenceResult(widths, mmd2, lo, hi, scheme.name, depth)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mlpgp.finite_net import (IIDGaussian, NetworkShape, activations,
-                              dump_weights, forward, get_scheme,
-                              load_weights, sample_weights)
+from mlpgp.finite_net import (END_SIGMA, IIDGaussian, NetworkShape,
+                              activations, dump_weights, forward, get_scheme,
+                              layer_prior, load_weights, sample_weights)
 from mlpgp.kernels import arccos_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -174,6 +174,26 @@ def test_sampling_determinism_and_substreams():
         assert np.array_equal(wa, wb)
     c = sample_weights(shape, get_scheme("f2"), 0.1, seed=10)
     assert not np.array_equal(a.weights[0], c.weights[0])
+
+
+def test_layer_prior_keeps_gaussian_ends_for_rce_nets():
+    f3 = get_scheme("f3")
+    ends = IIDGaussian(0.0, END_SIGMA)
+    assert [layer_prior(f3, l, 4) for l in (1, 2, 3, 4)] == [ends, f3, f3, ends]
+    assert layer_prior(f3, 1, 1) == ends
+    iid = IIDGaussian(-0.5, 1.3)
+    assert all(layer_prior(iid, l, 3) is iid for l in (1, 2, 3))
+    with pytest.raises(TypeError):
+        layer_prior(object(), 2, 3)
+    # the sampler reads the same rule: an RCE net's ends are the draws of
+    # an iid net at (0, END_SIGMA) from the same layer substreams
+    shape = NetworkShape(10, (16, 16, 16), 1)
+    rce = sample_weights(shape, get_scheme("f4"), 0.0, seed=5)
+    gauss = sample_weights(shape, ends, 0.0, seed=5)
+    for l in (0, -1):
+        assert rce.weights[l].tobytes() == gauss.weights[l].tobytes()
+        assert rce.latents[l] is None
+    assert all(lat is not None for lat in rce.latents[1:-1])
 
 
 def test_weight_dump_roundtrip(tmp_path):

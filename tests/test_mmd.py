@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mlpgp.finite_net import (IIDGaussian, NetworkShape, forward, get_scheme,
-                              sample_weights)
+from mlpgp.finite_net import (IIDGaussian, NetworkShape, RCEScheme, forward,
+                              get_scheme, sample_weights)
 from mlpgp.gp import FactorizationError, _chol_with_jitter
 from mlpgp.kernels import LayerHyper, VanishedSignalError, kernel_matrix
 from mlpgp.mmd import (convergence_experiment, limiting_hyper, mmd2_unbiased,
@@ -80,10 +80,49 @@ def test_limiting_hyper_structure():
     assert net.layers[0] == LayerHyper(0.0, SQRT2)
     assert net.layers[-1] == LayerHyper(0.0, SQRT2)
     assert net.layers[1] == LayerHyper(-0.5, np.sqrt(8.0))
-    iid = limiting_hyper(IIDGaussian(-0.3, 1.2), 3, 4)
-    assert all(l == LayerHyper(-0.3, 1.2) for l in iid.layers)
-    with pytest.raises(ValueError):
-        limiting_hyper(get_scheme("f4"), 5, 10, A_values=[0.1])
+    # a net of depth 1 or 2 is all ends
+    for depth in (1, 2):
+        ends = limiting_hyper(get_scheme("f4"), depth, 10)
+        assert ends.layers == (LayerHyper(0.0, SQRT2),) * depth
+    # iid nets carry (mu, sigma) in every layer, whatever the latents
+    for depth in (1, 2, 3, 6):
+        iid = limiting_hyper(IIDGaussian(-0.3, 1.2), depth, 4)
+        assert iid.layers == (LayerHyper(-0.3, 1.2),) * depth
+    iid = limiting_hyper(IIDGaussian(-0.3, 1.2), 4, 4, A_values=[0.5, -1.0])
+    assert iid.layers == (LayerHyper(-0.3, 1.2),) * 4
+    # one A per hidden layer 2..L-1, for every scheme
+    for scheme in (get_scheme("f4"), get_scheme("f1"), IIDGaussian(0.0, 1.0)):
+        with pytest.raises(ValueError):
+            limiting_hyper(scheme, 5, 10, A_values=[0.1])
+        with pytest.raises(ValueError):
+            limiting_hyper(scheme, 2, 10, A_values=[0.1])
+
+
+def test_unsupported_scheme_is_a_type_error():
+    S = np.zeros((2, 3))
+    for bad in (object(), "f1", (0.0, 1.0)):
+        with pytest.raises(TypeError):
+            sample_weights(NetworkShape(3, (4,), 1), bad, 0.0, 0)
+        with pytest.raises(TypeError):
+            limiting_hyper(bad, 3, 3)
+        with pytest.raises(TypeError):
+            _mlp_samples(bad, 3, 4, S, 5, 0.0, np.random.SeedSequence(0))
+
+
+def test_random_hyper_is_derived_from_the_hyperparameter_terms():
+    # f4's four terms under a new name, with no flag: the GP limit still
+    # marginalises over A, draw for draw as f4 does
+    f4 = get_scheme("f4")
+    clone = RCEScheme("f4-clone", scale=f4.scale, shift=f4.shift,
+                      mu_of=f4.mu_of, sigma_of=f4.sigma_of)
+    assert clone.random_hyper and f4.random_hyper
+    S = np.random.default_rng(0).standard_normal((4, 10))
+    want = _gp_samples(f4, 4, S, 300, 0.0, np.random.SeedSequence(2))
+    got = _gp_samples(clone, 4, S, 300, 0.0, np.random.SeedSequence(2))
+    assert got.tobytes() == want.tobytes()
+    for name in ("f1", "f2", "f3"):
+        assert not get_scheme(name).random_hyper
+    assert not IIDGaussian(0.0, 1.0).random_hyper
 
 
 def test_fast_sampler_matches_reference_distribution():
