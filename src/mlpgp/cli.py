@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,19 +81,22 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _count(minimum: int):
-    """argparse type for an integer flag that must be >= minimum."""
-    def parse(text: str) -> int:
+def _checked(kind, test, rule: str):
+    """argparse type: kind(text) must pass test (nan fails every test)."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}")
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
     return parse
+
+
+def _count(minimum: int):
+    return _checked(int, lambda v: v >= minimum, f">= {minimum}")
 
 
 def _parse_widths(text: str):
@@ -289,27 +293,32 @@ def cmd_prior_draws(args) -> int:
     return 0
 
 
-def _add_common(p, dataset=False, mh=False):
+def _add_common(p, dataset=False, mh=False, _min_depth=1):
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", required=True, help="output path (CSV or JSON)")
     if dataset:
         p.add_argument("--dataset", required=True, type=_dataset_arg,
                        help="sine | xor | snelson:PATH")
-        p.add_argument("--noise-var", type=float, default=0.1,
+        p.add_argument("--noise-var", default=0.1,
+                       type=_checked(float, lambda v: 0.0 <= v < math.inf,
+                                     ">= 0 and finite"),
                        help="observation noise variance")
         p.add_argument("--grid", type=_parse_grid,
                        default=GridSpec(),
                        help="mu_lo:mu_hi:sig_lo:sig_hi[:res], default "
                             "-2.5:1.0:0.1:8.0:200")
-    p.add_argument("--depth", type=_count(1), default=2,
+    p.add_argument("--depth", type=_count(_min_depth), default=2,
                    help="number of layers")
-    p.add_argument("--slope", type=float, default=0.0, help="LReLU slope")
+    p.add_argument("--slope", default=0.0, help="LReLU slope",
+                   type=_checked(float, lambda v: -1.0 < v < 1.0,
+                                 "in (-1, 1)"))
     if not dataset:
         # fit, grid and mh take (mu, sigma2) from the grid and the chain
-        p.add_argument("--mu", type=float, default=0.0,
-                       help="layer weight mean")
-        p.add_argument("--sigma2", type=float, default=2.0,
-                       help="layer weight variance")
+        p.add_argument("--mu", type=_checked(float, math.isfinite, "finite"),
+                       default=0.0, help="layer weight mean")
+        p.add_argument("--sigma2", default=2.0, help="layer weight variance",
+                       type=_checked(float, lambda v: 0.0 < v < math.inf,
+                                     "positive and finite"))
     if mh:
         p.add_argument("--mh-samples", type=_count(1), default=100)
         p.add_argument("--burn-in", type=_count(1), default=20)
@@ -348,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mh)
 
     p = sub.add_parser("mmd", help="finite-width convergence MMD^2 curve")
-    _add_common(p)
+    _add_common(p, _min_depth=2)  # the experiment needs a hidden layer
     p.add_argument("--scheme", choices=("iid", "f1", "f2", "f3", "f4"),
                    required=True)
     p.add_argument("--widths", type=_parse_widths, default=(16, 64, 256, 1024))
@@ -369,19 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # written so that nan fails every check
-    if not -1.0 < args.slope < 1.0:
-        parser.error("--slope must lie in (-1, 1)")
-    if "noise_var" in args and not 0.0 <= args.noise_var < np.inf:
-        parser.error("--noise-var must be >= 0 and finite")
-    if args.command == "mmd" and args.depth < 2:
-        parser.error("mmd needs --depth >= 2 for a hidden layer")
-    if "mu" in args and not np.isfinite(args.mu):
-        parser.error("--mu must be finite")
-    if "sigma2" in args and not 0.0 < args.sigma2 < np.inf:
-        parser.error("--sigma2 must be positive and finite")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

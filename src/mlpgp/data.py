@@ -43,26 +43,34 @@ class Dataset:
         return self.X_train.shape[1]
 
 
+def _generated(seed: int, target, X_train: np.ndarray, draw_test) -> Dataset:
+    # one default_rng(seed) draws the training noise, the test inputs
+    # (draw_test(rng)) and the test noise, in that order
+    rng = np.random.default_rng(seed)
+    noise_train = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), X_train.shape[0])
+    X_test = draw_test(rng)
+    noise_test = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), X_test.shape[0])
+    return Dataset(
+        X_train=X_train,
+        y_train=target(X_train) + noise_train,
+        X_test=X_test,
+        y_test=target(X_test) + noise_test,
+        noise_var=DEFAULT_NOISE_VAR,
+        noise_train=noise_train,
+        noise_test=noise_test,
+    )
+
+
 def gen_sine(seed: int) -> Dataset:
     """1-d problem y = sin(x) + eps, eps ~ N(0, 0.1 variance).
 
     10 training inputs on a uniform grid over [-sqrt(3), sqrt(3)] (endpoints
     included), 100 test inputs sampled uniformly on the same interval.
     """
-    rng = np.random.default_rng(seed)
-    x_train = np.linspace(-SQRT3, SQRT3, 10)
-    noise_train = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), x_train.size)
-    x_test = np.sort(rng.uniform(-SQRT3, SQRT3, 100))
-    noise_test = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), x_test.size)
-    return Dataset(
-        X_train=x_train[:, None],
-        y_train=np.sin(x_train) + noise_train,
-        X_test=x_test[:, None],
-        y_test=np.sin(x_test) + noise_test,
-        noise_var=DEFAULT_NOISE_VAR,
-        noise_train=noise_train,
-        noise_test=noise_test,
-    )
+    return _generated(
+        seed, lambda X: np.sin(X[:, 0]),
+        np.linspace(-SQRT3, SQRT3, 10)[:, None],
+        lambda rng: np.sort(rng.uniform(-SQRT3, SQRT3, 100))[:, None])
 
 
 def _xor_target(X: np.ndarray) -> np.ndarray:
@@ -75,20 +83,10 @@ def gen_smooth_xor(seed: int) -> Dataset:
     The four sign permutations of (+-1, +-1) form the training set; test
     inputs are 100 points sampled uniformly on the square [-2, 2]^2.
     """
-    rng = np.random.default_rng(seed)
-    X_train = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    noise_train = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), 4)
-    X_test = rng.uniform(-2.0, 2.0, (100, 2))
-    noise_test = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), 100)
-    return Dataset(
-        X_train=X_train,
-        y_train=_xor_target(X_train) + noise_train,
-        X_test=X_test,
-        y_test=_xor_target(X_test) + noise_test,
-        noise_var=DEFAULT_NOISE_VAR,
-        noise_train=noise_train,
-        noise_test=noise_test,
-    )
+    return _generated(
+        seed, _xor_target,
+        np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
+        lambda rng: rng.uniform(-2.0, 2.0, (100, 2)))
 
 
 def load_snelson(path) -> Dataset:

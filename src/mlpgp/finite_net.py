@@ -174,10 +174,6 @@ class SampledNetwork:
     latents: List[Optional[Tuple[float, np.ndarray, np.ndarray]]] = field(
         default_factory=list, repr=False)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
 
 def _uniform_latent(rng, shape=None):
     if shape is None:

@@ -40,15 +40,11 @@ class GPModel:
 
 @dataclass
 class PosteriorPredictive:
-    """Posterior predictive mean and covariance over the test inputs."""
+    """Posterior predictive mean and per-point variance at the test inputs."""
 
     mean: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
     jitter: float = 0.0
-
-    @property
-    def var(self) -> np.ndarray:
-        return np.diag(self.cov)
 
 
 def _chol_with_jitter(K: np.ndarray):
@@ -92,7 +88,7 @@ def sample_prior(Xstar, model: GPModel, n_draws: int, seed: int) -> np.ndarray:
 
 
 def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
-    """Posterior predictive N(mean, cov) at Xstar given (X, y).
+    """Posterior mean and variance at each row of Xstar given (X, y).
 
     Everything goes through a Cholesky factorisation of K + s^2 I; no
     explicit inverse is ever formed.
@@ -102,7 +98,7 @@ def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
     y = np.asarray(y, dtype=float)
     K_ss = kernel_matrix(Xstar, Xstar, model.net)
     if X.shape[0] == 0:
-        return PosteriorPredictive(np.zeros(Xstar.shape[0]), K_ss, 0.0)
+        return PosteriorPredictive(np.zeros(Xstar.shape[0]), np.diag(K_ss))
     if y.shape[0] != X.shape[0]:
         raise ValueError("y length must match the training rows")
     K_xx = kernel_matrix(X, X, model.net)
@@ -110,9 +106,7 @@ def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
     L, jit = _chol_with_jitter(K_xx + model.noise_var * np.eye(X.shape[0]))
     alpha = sla.cho_solve((L, True), y)
     v = sla.solve_triangular(L, K_sx.T, lower=True)
-    cov = K_ss - v.T @ v
-    cov = 0.5 * (cov + cov.T)
-    return PosteriorPredictive(K_sx @ alpha, cov, jit)
+    return PosteriorPredictive(K_sx @ alpha, np.diag(K_ss - v.T @ v), jit)
 
 
 def _lml_from_gram(K, y, noise_var: float):

@@ -240,17 +240,11 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     jitter_events = int(np.count_nonzero(jitters > 0.0))
     if not np.any(np.isfinite(values)):
         raise FactorizationError("every grid cell failed to factorise")
-
-    def _argmax_of(vals, rows):
-        flat = int(np.argmax(vals))
-        i, j = np.unravel_index(flat, vals.shape)
-        return float(rows[i]), float(sig2_axis[j]), float(vals[i, j])
-
-    argmax = _argmax_of(values, mu_axis)
-    i0 = int(np.argmin(np.abs(mu_axis)))
-    j0 = int(np.argmax(values[i0]))
-    argmax_mu0 = (float(mu_axis[i0]), float(sig2_axis[j0]),
-                  float(values[i0, j0]))
+    i0 = np.argmin(np.abs(mu_axis))
+    argmax, argmax_mu0 = (
+        (float(mu_axis[i]), float(sig2_axis[j]), float(values[i, j]))
+        for i, j in (np.unravel_index(np.argmax(values), values.shape),
+                     (i0, np.argmax(values[i0]))))
     return GridResult(mu_axis, sig2_axis, values, target, argmax, argmax_mu0,
                       n_failed, jitter_events)
 

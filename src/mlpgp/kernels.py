@@ -251,6 +251,18 @@ def _moment_step(s1, s2, rho, t1, t2, a: float):
             lrelu_mean(t2, s2, a))
 
 
+def _sqrt_product(k_xx, k_yy):
+    # the denominator of rho, sqrt(k_xx k_yy); sqrt(k_xx) sqrt(k_yy) only where
+    # the product underflows (both diagonals below ~1.5e-154), so that every
+    # other entry keeps the bits of the plain product
+    prod = k_xx * k_yy
+    low = prod < np.finfo(float).tiny
+    np.sqrt(prod, out=prod)
+    if np.any(low):
+        prod[low] = (np.sqrt(k_xx) * np.sqrt(k_yy))[low]
+    return prod
+
+
 def _recurse(x, y, net: NetworkHyper):
     # shared by deep_kernel / kernel_matrix: the final second moment, and the
     # (G,) vanished mask of a batch (0-d, and raising instead, if unbatched)
@@ -281,7 +293,7 @@ def _recurse(x, y, net: NetworkHyper):
         layer = layers[l - 1]
         k_xx, k_yy, k_xy, m_x, m_y = _moment_step(
             layer.sigma * np.sqrt(k_xx), layer.sigma * np.sqrt(k_yy),
-            np.clip(k_xy / np.sqrt(k_xx * k_yy), -1.0, 1.0),
+            np.clip(k_xy / _sqrt_product(k_xx, k_yy), -1.0, 1.0),
             layer.mu * m_x, layer.mu * m_y, net.slope_a)
     if net.final_layer_linear:
         out = layers[-1]
@@ -295,7 +307,10 @@ def deep_kernel(x, y, net: NetworkHyper) -> float:
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("deep_kernel expects single input vectors")
-    return float(_recurse(x, y, net)[0][0, 0])
+    K, vanished = _recurse(x, y, net)
+    if vanished.ndim:
+        raise ValueError("deep_kernel takes one net: use kernel_matrix")
+    return float(K[0, 0])
 
 
 def kernel_matrix(X, Y, net: NetworkHyper) -> np.ndarray:

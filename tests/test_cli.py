@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlpgp.cli import main
+from mlpgp.cli import build_parser, main
 from mlpgp.kernels import arccos_reference
 
 
@@ -210,17 +213,47 @@ def test_usage_errors_exit_two(tmp_path, argv):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("grid, reason", [
-    ("--grid=0:-1:1:2:3", "mu_range must be increasing"),
-    ("--grid=0:nan:1:2:3", "grid range ends must be finite"),
-    ("--grid=-1:0:1:inf:3", "grid range ends must be finite"),
-])
-def test_grid_usage_errors_name_reason(tmp_path, capsys, grid, reason):
+REASONS = [
+    (["grid", "--dataset", "sine", "--grid=0:-1:1:2:3"],
+     "mu_range must be increasing"),
+    (["grid", "--dataset", "sine", "--grid=0:nan:1:2:3"],
+     "grid range ends must be finite"),
+    (["grid", "--dataset", "sine", "--grid=-1:0:1:inf:3"],
+     "grid range ends must be finite"),
+    (["fit", "--dataset", "sine", "--estimator", "mle", "--slope=1.5"],
+     "argument --slope: must be in (-1, 1), got 1.5"),
+    (["grid", "--dataset", "sine", "--noise-var=nan"],
+     "argument --noise-var: must be >= 0 and finite, got nan"),
+    (["kernel-curve", "--mu=-inf"], "argument --mu: must be finite, got -inf"),
+    (["prior-draws", "--sigma2=0"],
+     "argument --sigma2: must be positive and finite, got 0.0"),
+    (["mmd", "--scheme", "f1", "--depth=1"],
+     "argument --depth: must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", REASONS,
+                         ids=[f"{a[-1]}-{reason}" for a, reason in REASONS])
+def test_grid_usage_errors_name_reason(tmp_path, capsys, argv, reason):
+    # every flag is checked where it is parsed, and the message says why
     with pytest.raises(SystemExit) as err:
-        main(["grid", "--dataset", "sine", grid,
-              "--out", str(tmp_path / "out.csv")])
+        main(argv + ["--out", str(tmp_path / "out.csv")])
     assert err.value.code == 2
     assert reason in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every `mlpgp ...` line of README's bash blocks, continuations joined;
+    # flags are checked at parse time, so parsing checks the documented values
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = "".join(re.findall(r"```bash\n(.*?)```", readme, re.S))
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in text.replace("\\\n", " ").splitlines()
+                if line.startswith("mlpgp ")]
+    assert {argv[0] for argv in commands} == {
+        "kernel-curve", "grid", "fit", "mh", "mmd", "prior-draws"}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_snelson_dataset_via_cli(tmp_path):

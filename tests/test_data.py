@@ -49,6 +49,38 @@ def test_gen_smooth_xor_targets():
     assert _xor_target(np.array([[0.0, 1.7]]))[0] == 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_generated_datasets_follow_one_draw_order(seed):
+    # one default_rng(seed) draws the training noise, the test inputs and the
+    # test noise, in that order; the hyper-fit benchmark's inputs depend on it
+    sd = np.sqrt(0.1)
+    rng = np.random.default_rng(seed)
+    x_train = np.linspace(-SQRT3, SQRT3, 10)
+    e_train = rng.normal(0.0, sd, 10)
+    x_test = np.sort(rng.uniform(-SQRT3, SQRT3, 100))
+    e_test = rng.normal(0.0, sd, 100)
+    want_sine = (x_train[:, None], np.sin(x_train) + e_train, x_test[:, None],
+                 np.sin(x_test) + e_test, e_train, e_test)
+    rng = np.random.default_rng(seed)
+    X_train = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    e_train = rng.normal(0.0, sd, 4)
+    X_test = rng.uniform(-2.0, 2.0, (100, 2))
+    e_test = rng.normal(0.0, sd, 100)
+
+    def xor(X):
+        return -X[:, 0] * X[:, 1] * np.exp(2.0 - X[:, 0] ** 2 - X[:, 1] ** 2)
+
+    want_xor = (X_train, xor(X_train) + e_train, X_test, xor(X_test) + e_test,
+                e_train, e_test)
+    for ds, want in ((gen_sine(seed), want_sine),
+                     (gen_smooth_xor(seed), want_xor)):
+        got = (ds.X_train, ds.y_train, ds.X_test, ds.y_test, ds.noise_train,
+               ds.noise_test)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
 def _write_snelson(path, n=200, seed=0):
     rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(0.0, 6.0, n))

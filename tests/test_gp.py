@@ -51,7 +51,7 @@ def test_posterior_predictive_no_training_points():
     pp = posterior_predictive(Xs, np.zeros((0, 2)), np.zeros(0),
                               GPModel(net, 0.1))
     assert np.array_equal(pp.mean, np.zeros(2))
-    assert np.allclose(pp.cov, kernel_matrix(Xs, Xs, net), atol=0)
+    assert np.array_equal(pp.var, np.diag(kernel_matrix(Xs, Xs, net)))
 
 
 def test_posterior_predictive_interpolates_noiseless():
@@ -73,7 +73,7 @@ def test_posterior_predictive_scalar_closed_form():
     k_ss = kernel_matrix(Xs, Xs, net)[0, 0]
     pp = posterior_predictive(Xs, X, y, GPModel(net, s2))
     assert abs(pp.mean[0] - k_st * y[0] / (k_tt + s2)) < 1e-12
-    assert abs(pp.cov[0, 0] - (k_ss - k_st ** 2 / (k_tt + s2))) < 1e-12
+    assert abs(pp.var[0] - (k_ss - k_st ** 2 / (k_tt + s2))) < 1e-12
 
 
 def test_posterior_variance_below_prior_variance():

@@ -323,6 +323,25 @@ def test_kernel_matrix_normalisation_identity():
         assert abs(got - arccos_reference(np.pi / 2, a, L)) < 1e-12
 
 
+def test_kernel_matrix_rho_survives_tiny_diagonals():
+    # zero-mean nets are positively homogeneous, so the normalised kernel is
+    # arccos_reference at every sigma, also once k_xx k_yy underflows
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sigma, L in [(1e-30, 4), (1e-40, 3), (1e-50, 3)]:
+            K = kernel_matrix(X, X, constant_hyper(0.0, sigma, L, 2, 0.0,
+                                                   final_layer_linear=False))
+            got = K[0, 1] / (np.sqrt(K[0, 0]) * np.sqrt(K[1, 1]))
+            assert abs(got - arccos_reference(np.pi / 2, 0.0, L)) < 1e-12
+
+
+def test_deep_kernel_rejects_a_batch_of_nets():
+    net = constant_hyper(0.0, np.full((2, 1, 1), 1.3), 3, 2)
+    with pytest.raises(ValueError, match="kernel_matrix"):
+        deep_kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0]), net)
+
+
 def _batch(values):
     return np.asarray(values, dtype=float).reshape(-1, 1, 1)
 
@@ -381,6 +400,15 @@ def test_kernel_matrix_batch_equals_slices():
     X = np.random.default_rng(5).standard_normal((4, 3))
     _assert_batch_matches(X, X, f4(_batch(A[0]), _batch(A[1])),
                           [f4(a1, a2) for a1, a2 in zip(*A)])
+    # a middle slice whose k_xx k_yy underflows, among slices whose does not
+    sigmas = [1.3, 1e-30, 0.7]
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+    def zero_mean(sigma):
+        return constant_hyper(0.0, sigma, 4, 2, 0.0, final_layer_linear=False)
+
+    _assert_batch_matches(X, X, zero_mean(_batch(sigmas)),
+                          [zero_mean(s) for s in sigmas])
 
 
 def test_kernel_matrix_batch_marks_vanished_slice():
