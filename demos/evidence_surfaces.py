@@ -31,4 +31,6 @@ for name, ds in DATASETS:
               + ("   <- mu != 0 wins" if gap > 0 else ""))
         if res.n_failed:
             print(f"{'':>5}   ({res.n_failed} cells are -inf: "
-                  "Gram not factorisable or signal vanished)")
+                  f"{res.n_vanished} signal vanished, "
+                  f"{res.n_failed - res.n_vanished} not factorisable or "
+                  "non-finite)")

@@ -18,7 +18,7 @@ from .hyper import (Chain, GridSpec, HyperPrior, MHConfig, grid_eval,
                     random_walk_mh, substitute_hyper)
 from .kernels import (DegenerateInputError, LayerHyper, NetworkHyper,
                       VanishedSignalError, arccos_reference, constant_hyper,
-                      deep_kernel, kernel_matrix,
+                      deep_kernel, kernel_diag, kernel_matrix,
                       single_layer_kernel_with_bias)
 from .mmd import convergence_experiment, limiting_hyper, mmd2_unbiased, \
     permutation_null

@@ -236,6 +236,7 @@ def cmd_grid(args) -> int:
                        "sigma2": result.argmax_mu0[1],
                        "value": result.argmax_mu0[2]},
         "failed_cells": result.n_failed,
+        "vanished_cells": result.n_vanished,
         "jitter_events": result.jitter_events,
         "mu_range": list(args.grid.mu_range),
         "sig2_range": list(args.grid.sig2_range),
@@ -244,7 +245,9 @@ def cmd_grid(args) -> int:
     _write_json(out.with_suffix(".json"), meta)
     if result.n_failed:
         print(f"warning: {result.n_failed} grid cells are -inf "
-              "(Gram not factorisable or signal vanished)", file=sys.stderr)
+              f"({result.n_vanished} signal vanished, "
+              f"{result.n_failed - result.n_vanished} not factorisable or "
+              "non-finite)", file=sys.stderr)
     return 0
 
 

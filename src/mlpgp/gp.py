@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .kernels import NetworkHyper, kernel_matrix
+from .kernels import NetworkHyper, kernel_diag, kernel_matrix
 
 __all__ = [
     "FactorizationError",
@@ -91,22 +91,28 @@ def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
     """Posterior mean and variance at each row of Xstar given (X, y).
 
     Everything goes through a Cholesky factorisation of K + s^2 I; no
-    explicit inverse is ever formed.
+    explicit inverse is ever formed, and of the test-by-test Gram only the
+    diagonal is computed.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    K_ss = kernel_matrix(Xstar, Xstar, model.net)
+    k_ss = kernel_diag(Xstar, model.net)
     if X.shape[0] == 0:
-        return PosteriorPredictive(np.zeros(Xstar.shape[0]), np.diag(K_ss))
-    if y.shape[0] != X.shape[0]:
+        return PosteriorPredictive(np.zeros(Xstar.shape[0]), k_ss)
+    return _predict_from_grams(kernel_matrix(X, X, model.net),
+                               kernel_matrix(Xstar, X, model.net), k_ss,
+                               np.asarray(y, dtype=float), model.noise_var)
+
+
+def _predict_from_grams(K_xx, K_sx, k_ss, y, noise_var: float):
+    # the posterior predictive from the noise-free Grams K_xx and K_sx and
+    # the test Gram's diagonal k_ss
+    if y.shape[0] != K_xx.shape[0]:
         raise ValueError("y length must match the training rows")
-    K_xx = kernel_matrix(X, X, model.net)
-    K_sx = kernel_matrix(Xstar, X, model.net)
-    L, jit = _chol_with_jitter(K_xx + model.noise_var * np.eye(X.shape[0]))
+    L, jit = _chol_with_jitter(K_xx + noise_var * np.eye(K_xx.shape[0]))
     alpha = sla.cho_solve((L, True), y)
     v = sla.solve_triangular(L, K_sx.T, lower=True)
-    return PosteriorPredictive(K_sx @ alpha, np.diag(K_ss - v.T @ v), jit)
+    return PosteriorPredictive(K_sx @ alpha, k_ss - np.diag(v.T @ v), jit)
 
 
 def _lml_from_gram(K, y, noise_var: float):

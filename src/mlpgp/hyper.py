@@ -12,9 +12,9 @@ from typing import Callable, ClassVar, Optional, Tuple
 import numpy as np
 
 from .gp import FactorizationError, GPModel, _lml_from_gram, \
-    posterior_predictive
-from .kernels import LayerHyper, NetworkHyper, VanishedSignalError, \
-    _batch_slices, kernel_matrix
+    _predict_from_grams
+from .kernels import LayerHyper, NetworkHyper, _batch_slices, kernel_diag, \
+    kernel_matrix
 
 __all__ = [
     "HyperPrior",
@@ -129,6 +129,7 @@ class GridResult:
     argmax_mu0: Tuple[float, float, float]
     n_failed: int = 0
     jitter_events: int = 0
+    n_vanished: int = 0  # of the n_failed cells, those whose signal vanished
 
 
 @dataclass
@@ -176,20 +177,22 @@ def substitute_hyper(net_template: NetworkHyper, mu, sigma2) -> NetworkHyper:
 
 def _log_targets(X, y, net_template: NetworkHyper,
                  prior: Optional[HyperPrior], noise_var: float, mu, sigma2):
-    """log p(y | mu, sigma^2) [+ log hyper-prior] and jitter at each point of
-    the 1-D arrays mu, sigma2, by batched Grams; -inf, with jitter 0, where
-    the signal vanished, the Gram is not factorisable or the value not finite.
+    """log p(y | mu, sigma^2) [+ log hyper-prior], jitter and vanished mask at
+    each point of the 1-D arrays mu, sigma2, by batched Grams; -inf, with
+    jitter 0, where the signal vanished, the Gram is not factorisable or the
+    value not finite.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     values = np.full(mu.size, -np.inf)
     jitters = np.zeros(mu.size)
+    vanished = np.zeros(mu.size, bool)
     for chunk in _batch_slices(mu.size, X.shape[0] ** 2):
         net = substitute_hyper(net_template, mu[chunk, None, None],
                                sigma2[chunk, None, None])
         with np.errstate(over="ignore", invalid="ignore"):
-            K, vanished = kernel_matrix(X, X, net)
-            for i in np.flatnonzero(~vanished):
+            K, vanished[chunk] = kernel_matrix(X, X, net)
+            for i in np.flatnonzero(~vanished[chunk]):
                 try:
                     lml, jit = _lml_from_gram(K[i], y, noise_var)
                 except (FactorizationError, FloatingPointError):
@@ -199,7 +202,7 @@ def _log_targets(X, y, net_template: NetworkHyper,
                     if prior is not None:
                         lml += hyper_prior_logpdf(mu[g], sigma2[g])
                     values[g], jitters[g] = lml, jit
-    return values, jitters
+    return values, jitters, vanished
 
 
 def gp_log_posterior(X, y, net_template: NetworkHyper,
@@ -233,8 +236,8 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     mu_axis, sig2_axis = spec.axes()
     mu, sig2 = (a.ravel() for a in np.meshgrid(mu_axis, sig2_axis,
                                                indexing="ij"))
-    values, jitters = _log_targets(X, y, net_template, prior, noise_var, mu,
-                                   sig2)
+    values, jitters, vanished = _log_targets(X, y, net_template, prior,
+                                             noise_var, mu, sig2)
     values = values.reshape(mu_axis.size, sig2_axis.size)
     n_failed = int(np.count_nonzero(values == -np.inf))
     jitter_events = int(np.count_nonzero(jitters > 0.0))
@@ -246,7 +249,8 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
         for i, j in (np.unravel_index(np.argmax(values), values.shape),
                      (i0, np.argmax(values[i0]))))
     return GridResult(mu_axis, sig2_axis, values, target, argmax, argmax_mu0,
-                      n_failed, jitter_events)
+                      n_failed, jitter_events,
+                      int(np.count_nonzero(vanished)))
 
 
 def random_walk_mh(log_density: Callable, init, config: MHConfig) -> Chain:
@@ -299,23 +303,35 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
     """Predictive mixture over the chain's hyperparameter samples.
 
     Mixture mean averages the conditional means; the mixture variance is
-    E[var] + E[mean^2] - (E[mean])^2 per test point.  Samples whose Gram
-    matrix cannot be factorised are skipped and counted.
+    E[var] + E[mean^2] - (E[mean])^2 per test point.  The samples' Grams
+    come from batched kernel calls; samples whose signal vanished or whose
+    Gram cannot be factorised are skipped and counted.
     """
     if len(chain) == 0:
         raise ValueError("chain is empty")
+    GPModel(net_template, noise_var)  # rejects a negative noise variance
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    mu, sigma2 = chain.samples.T
     means = []
     variances = []
-    n_skipped = 0
-    for mu, sigma2 in chain.samples:
-        net = substitute_hyper(net_template, float(mu), float(sigma2))
-        try:
-            pp = posterior_predictive(Xstar, X, y, GPModel(net, noise_var))
-        except (FactorizationError, VanishedSignalError):
-            n_skipped += 1
-            continue
-        means.append(pp.mean)
-        variances.append(pp.var)
+    entries = max(Xstar.shape[0], X.shape[0]) * X.shape[0]
+    for chunk in _batch_slices(len(chain), entries):
+        net = substitute_hyper(net_template, mu[chunk, None, None],
+                               sigma2[chunk, None, None])
+        K_xx, vanished = kernel_matrix(X, X, net)
+        K_sx, vanished_sx = kernel_matrix(Xstar, X, net)
+        k_ss, vanished_ss = kernel_diag(Xstar, net)
+        for i in np.flatnonzero(~(vanished | vanished_sx | vanished_ss)):
+            try:
+                pp = _predict_from_grams(K_xx[i], K_sx[i], k_ss[i], y,
+                                         noise_var)
+            except FactorizationError:
+                continue
+            means.append(pp.mean)
+            variances.append(pp.var)
+    n_skipped = len(chain) - len(means)
     if not means:
         raise FactorizationError("every chain sample failed to factorise")
     if len(means) == 1:

@@ -2,14 +2,16 @@
 
 Single-layer second moments for linear / absolute-value / leaky-ReLU units
 under Gaussian pre-activations with non-zero means, and the deep recursion
-behind `deep_kernel` and `kernel_matrix`.  The internal moment maps take a
-pre-activation pair (G1, G2) with std-devs s1, s2, correlation rho and means
-t1, t2 as plain broadcast-compatible floats or arrays, and check nothing:
-`LayerHyper`, `NetworkHyper` and the recursion's zero-norm and vanished-
-signal checks keep them on their domain.  Broadcasting is what makes
-`kernel_matrix` cheap: the whole Gram recursion runs on (N, 1) / (1, M) /
-(N, M) shaped arrays, or (G, N, M) ones for a batch of G nets (`LayerHyper`
-values of shape (G, 1, 1)), whose slices `bvn_cdf`'s quadrature sums apart.
+behind `deep_kernel`, `kernel_matrix` and `kernel_diag`.  The internal moment
+maps take a pre-activation pair (G1, G2) with std-devs s1, s2, correlation
+rho and means t1, t2 as plain broadcast-compatible floats or arrays, and
+check nothing: `LayerHyper`, `NetworkHyper` and the recursion's zero-norm
+and vanished-signal checks keep them on their domain.  Broadcasting is what
+makes `kernel_matrix` cheap: the whole Gram recursion runs on (N, 1) /
+(1, M) / (N, M) shaped arrays, or (G, N, M) ones for a batch of G nets
+(`LayerHyper` values of shape (G, 1, 1)), whose slices `bvn_cdf`'s
+quadrature sums apart.  `kernel_diag` runs it on (N, 1) arrays alone, one
+pair (x_i, x_i) per row, or (G, N, 1) ones for a batch.
 
 The recursion is one loop in `_recurse` over the hidden layers.  It carries
 five arrays, the unnormalised post-activation second moments k_xx, k_yy,
@@ -38,6 +40,7 @@ __all__ = [
     "deep_kernel",
     "arccos_reference",
     "kernel_matrix",
+    "kernel_diag",
     "single_layer_kernel_with_bias",
 ]
 
@@ -224,20 +227,25 @@ def lrelu_mean(mu_t, sigma_t, a: float) -> ArrayLike:
 
 
 def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
+    # y None gives the diagonal pairs (x_i, x_i) as (N, 1) arrays, with rho
+    # from the same gemm as the full Gram's
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[1] != n0 or y.shape[1] != n0:
+    ys = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
+    if x.shape[1] != n0 or ys.shape[1] != n0:
         raise ValueError(f"inputs must have length n0 = {n0}")
     nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(y, axis=1)
+    ny = np.linalg.norm(ys, axis=1)
     if np.any(nx == 0.0) or np.any(ny == 0.0):
         raise DegenerateInputError("zero-norm input has no first-layer signal")
     sq = np.sqrt(n0)
     s1 = (layer.sigma / sq) * nx[:, None]
-    s2 = (layer.sigma / sq) * ny[None, :]
-    rho = np.clip((x @ y.T) / (nx[:, None] * ny[None, :]), -1.0, 1.0)
     t1 = layer.mu * np.mean(x, axis=1)[:, None]
-    t2 = layer.mu * np.mean(y, axis=1)[None, :]
+    if y is None:
+        rho = np.diag(x @ x.T)[:, None] / (nx * nx)[:, None]
+        return s1, s1, np.clip(rho, -1.0, 1.0), t1, t1
+    s2 = (layer.sigma / sq) * ny[None, :]
+    rho = np.clip((x @ ys.T) / (nx[:, None] * ny[None, :]), -1.0, 1.0)
+    t2 = layer.mu * np.mean(ys, axis=1)[None, :]
     return s1, s2, rho, t1, t2
 
 
@@ -264,8 +272,9 @@ def _sqrt_product(k_xx, k_yy):
 
 
 def _recurse(x, y, net: NetworkHyper):
-    # shared by deep_kernel / kernel_matrix: the final second moment, and the
-    # (G,) vanished mask of a batch (0-d, and raising instead, if unbatched)
+    # shared by deep_kernel / kernel_matrix / kernel_diag (y None): the final
+    # second moment, NaN in a batch's vanished slices, and the (G,) vanished
+    # mask of a batch (0-d, and raising instead, if unbatched)
     layers = net.layers
     depth = len(layers)
     vanished = np.zeros(np.broadcast_shapes(*(
@@ -297,7 +306,9 @@ def _recurse(x, y, net: NetworkHyper):
             layer.mu * m_x, layer.mu * m_y, net.slope_a)
     if net.final_layer_linear:
         out = layers[-1]
-        return out.sigma ** 2 * k_xy + out.mu ** 2 * m_x * m_y, vanished
+        k_xy = out.sigma ** 2 * k_xy + out.mu ** 2 * m_x * m_y
+    if vanished.ndim:
+        k_xy[vanished] = np.nan
     return k_xy, vanished
 
 
@@ -326,9 +337,19 @@ def kernel_matrix(X, Y, net: NetworkHyper) -> np.ndarray:
     K, vanished = _recurse(X, Y, net)
     if X.shape == Y.shape and np.array_equal(X, Y):
         K = 0.5 * (K + np.swapaxes(K, -1, -2))
-    if vanished.ndim:
-        K[vanished] = np.nan
     return (K, vanished) if vanished.ndim else K
+
+
+def kernel_diag(X, net: NetworkHyper) -> np.ndarray:
+    """k(X[i], X[i]) for each row, at the cost of N entries.
+
+    It has the bits of np.diag(kernel_matrix(X, X, net)) wherever every
+    diagonal pair stays on the colinear branch of the absolute moment (see
+    README, numerical notes).  A batch of G nets gives (k, vanished) with
+    shapes (G, N) and (G,), as kernel_matrix does.
+    """
+    K, vanished = _recurse(X, None, net)
+    return (K[..., 0], vanished) if vanished.ndim else K[..., 0]
 
 
 def _batch_slices(n_nets, entries):

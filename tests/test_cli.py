@@ -100,6 +100,20 @@ def test_grid_outputs(tmp_path):
     assert meta["argmax"]["value"] >= meta["argmax_mu0"]["value"]
     assert meta["resolution"] == 12
     assert "jitter_events" in meta and "failed_cells" in meta
+    assert meta["vanished_cells"] == 0
+
+
+def test_grid_names_why_cells_failed(tmp_path, capsys):
+    # both -inf cells of this grid (mu = -2.5 and -2.316 at sigma^2 = 0.1)
+    # are vanished signals, and the JSON and the warning say so
+    out = tmp_path / "grid.csv"
+    rc = main(["grid", "--dataset", "sine", "--depth", "8",
+               "--grid=-2.5:1.0:0.1:8.0:20", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "grid.json").read_text())
+    assert meta["failed_cells"] == meta["vanished_cells"] == 2
+    assert "warning: 2 grid cells are -inf (2 signal vanished, 0 not " \
+           "factorisable or non-finite)" in capsys.readouterr().err
 
 
 def test_mh_chain_output(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
-from mlpgp.gp import (FactorizationError, GPModel, circle_traversal,
+from mlpgp.data import gen_sine, gen_smooth_xor
+from mlpgp.gp import (FactorizationError, GPModel, _chol_with_jitter,
+                      circle_traversal,
                       log_marginal_likelihood, perturbation_bound,
                       posterior_predictive, sample_prior)
 from mlpgp.kernels import LayerHyper, NetworkHyper, constant_hyper, \
@@ -74,6 +77,26 @@ def test_posterior_predictive_scalar_closed_form():
     pp = posterior_predictive(Xs, X, y, GPModel(net, s2))
     assert abs(pp.mean[0] - k_st * y[0] / (k_tt + s2)) < 1e-12
     assert abs(pp.var[0] - (k_ss - k_st ** 2 / (k_tt + s2))) < 1e-12
+
+
+def test_posterior_predictive_matches_the_full_test_gram():
+    # the variance from the test Gram's diagonal alone has the bits of the
+    # diagonal of K_ss - v^T v from the full Gram, and so does the mean
+    for ds in (gen_sine(0), gen_smooth_xor(0)):
+        for depth, mu, sigma2 in ((2, 0.0, 2.0), (8, -0.7, 3.0),
+                                  (16, -1.05, 3.06)):
+            net = _simple_net(depth, mu, np.sqrt(sigma2), ds.input_dim)
+            pp = posterior_predictive(ds.X_test, ds.X_train, ds.y_train,
+                                      GPModel(net, 0.1))
+            K_ss = kernel_matrix(ds.X_test, ds.X_test, net)
+            K_sx = kernel_matrix(ds.X_test, ds.X_train, net)
+            K_xx = kernel_matrix(ds.X_train, ds.X_train, net)
+            L, jit = _chol_with_jitter(K_xx + 0.1 * np.eye(len(ds.y_train)))
+            v = sla.solve_triangular(L, K_sx.T, lower=True)
+            assert np.array_equal(pp.var, np.diag(K_ss - v.T @ v))
+            assert np.array_equal(
+                pp.mean, K_sx @ sla.cho_solve((L, True), ds.y_train))
+            assert pp.jitter == jit
 
 
 def test_posterior_variance_below_prior_variance():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mlpgp import kernels
-from mlpgp.data import gen_sine
+from mlpgp import gp, hyper, kernels
+from mlpgp.data import gen_sine, gen_smooth_xor
 from mlpgp.gp import (FactorizationError, GPModel, _lml_from_gram,
                       log_marginal_likelihood, posterior_predictive)
 from mlpgp.hyper import (Chain, GridSpec, HyperPrior, MHConfig, grid_eval,
@@ -81,18 +81,21 @@ def test_grid_eval_failed_cells_become_neg_inf():
 
 
 def _unbatched_target(X, y, template, prior, noise_var, mu, s2):
-    # (value, jitter) at one point from one unbatched kernel_matrix call
+    # (value, jitter, vanished) at one point from one unbatched kernel_matrix
+    # call
     net = substitute_hyper(template, mu, s2)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             lml, jit = _lml_from_gram(kernel_matrix(X, X, net), y, noise_var)
-    except (FactorizationError, VanishedSignalError):
-        return -np.inf, 0.0
+    except VanishedSignalError:
+        return -np.inf, 0.0, True
+    except FactorizationError:
+        return -np.inf, 0.0, False
     if not np.isfinite(lml):
-        return -np.inf, 0.0
+        return -np.inf, 0.0, False
     if prior is not None:
         lml += hyper_prior_logpdf(mu, s2)
-    return lml, jit
+    return lml, jit, False
 
 
 def test_grid_eval_cells_match_gp_log_posterior(monkeypatch):
@@ -122,10 +125,12 @@ def test_grid_eval_cells_match_gp_log_posterior(monkeypatch):
                              for s2 in res.sig2_axis] for mu in res.mu_axis])
             assert np.array_equal(res.values, ref[..., 0])
             assert res.n_failed == np.count_nonzero(ref[..., 0] == -np.inf)
+            assert res.n_vanished == np.count_nonzero(ref[..., 2])
             assert res.jitter_events == np.count_nonzero(ref[..., 1] > 0.0)
             assert res.n_failed > 0
             assert res.jitter_events > 0 or noise_var > 0.0
             assert type(res.n_failed) is int and type(res.jitter_events) is int
+            assert type(res.n_vanished) is int
 
 
 def test_grid_constrained_max_tracks_stable_ridge():
@@ -246,6 +251,84 @@ def test_marginal_predictive_mixture_identities():
     with pytest.raises(ValueError):
         marginal_predictive(ds.X_test, ds.X_train, ds.y_train, TEMPLATE,
                             Chain(np.zeros((0, 2)), np.zeros(0), 0.0), 0.1)
+
+
+def _per_sample_mixture(Xstar, X, y, template, chain, noise_var):
+    # the mixture from one posterior_predictive call per chain sample
+    means, variances = [], []
+    for mu, s2 in chain.samples:
+        net = substitute_hyper(template, float(mu), float(s2))
+        try:
+            pp = posterior_predictive(Xstar, X, y, GPModel(net, noise_var))
+        except (FactorizationError, VanishedSignalError):
+            continue
+        means.append(pp.mean)
+        variances.append(pp.var)
+    n_skipped = len(chain) - len(means)
+    if len(means) == 1:
+        return means[0], variances[0], n_skipped
+    means, variances = np.asarray(means), np.asarray(variances)
+    mix_mean = means.mean(axis=0)
+    return (mix_mean, (variances + means ** 2).mean(axis=0) - mix_mean ** 2,
+            n_skipped)
+
+
+def test_marginal_predictive_matches_per_sample_reference(monkeypatch):
+    # the batched chain gives the bits of one predictive call per sample;
+    # the chain repeats samples and holds one, (-2.5, 0.1), whose signal
+    # vanishes at depth 8; the shrunk chunk budget splits it into 4 chunks
+    samples = np.array([[-0.4, 2.1], [-0.4, 2.1], [-2.5, 0.1], [0.3, 1.2],
+                        [-1.1, 3.4], [0.3, 1.2], [-0.4, 2.1], [-0.9, 4.0]])
+    chain = Chain(samples, np.zeros(len(samples)), 0.5)
+    for ds, chunk in ((gen_sine(2), kernels.BATCH_ENTRIES),
+                      (gen_smooth_xor(1), kernels.BATCH_ENTRIES),
+                      (gen_smooth_xor(1), 2 * 100 * 4)):
+        monkeypatch.setattr(kernels, "BATCH_ENTRIES", chunk)
+        template = NetworkHyper(0.0, ds.input_dim,
+                                (LayerHyper(0.0, 1.0),) * 8, True)
+        for Xstar in (ds.X_test, ds.X_train):
+            mp = marginal_predictive(Xstar, ds.X_train, ds.y_train, template,
+                                     chain, 0.1)
+            mean, var, n_skipped = _per_sample_mixture(
+                Xstar, ds.X_train, ds.y_train, template, chain, 0.1)
+            assert np.array_equal(mp.mean, mean)
+            assert np.array_equal(mp.var, var)
+            assert mp.n_skipped == n_skipped == 1
+    # one surviving sample is returned as it is
+    single = Chain(samples[1:3], np.zeros(2), 0.5)
+    mp = marginal_predictive(ds.X_test, ds.X_train, ds.y_train, template,
+                             single, 0.1)
+    mean, var, n_skipped = _per_sample_mixture(
+        ds.X_test, ds.X_train, ds.y_train, template, single, 0.1)
+    assert np.array_equal(mp.mean, mean) and np.array_equal(mp.var, var)
+    assert mp.n_skipped == n_skipped == 1
+
+
+def test_predictives_never_build_the_test_by_test_gram(monkeypatch):
+    # of the (N*, N*) test Gram only the diagonal is ever evaluated
+    ds = gen_smooth_xor(0)
+    n_test = ds.X_test.shape[0]
+    shapes = []
+
+    def recording(evaluate):
+        def wrapped(*args, **kwargs):
+            out = evaluate(*args, **kwargs)
+            shapes.append(np.shape(out[0] if isinstance(out, tuple) else out))
+            return out
+        return wrapped
+
+    for module in (gp, hyper):
+        monkeypatch.setattr(module, "kernel_matrix",
+                            recording(module.kernel_matrix))
+    monkeypatch.setattr(kernels, "_recurse", recording(kernels._recurse))
+    template = NetworkHyper(0.0, 2, (LayerHyper(0.0, 1.0),) * 8, True)
+    chain = Chain(np.array([[-0.4, 2.1], [0.3, 1.2]]), np.zeros(2), 0.5)
+    posterior_predictive(ds.X_test, ds.X_train, ds.y_train,
+                         GPModel(substitute_hyper(template, -0.4, 2.1), 0.1))
+    marginal_predictive(ds.X_test, ds.X_train, ds.y_train, template, chain,
+                        0.1)
+    assert shapes
+    assert not [s for s in shapes if s[-2:] == (n_test, n_test)]
 
 
 def test_marginal_predictive_sine_sanity():

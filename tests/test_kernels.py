@@ -7,8 +7,11 @@ from mlpgp.kernels import (VANISHED_TOL, DegenerateInputError, LayerHyper,
                            NetworkHyper, VanishedSignalError, _moment_step,
                            abs_kernel, arccos_reference, constant_hyper,
                            cross_term, deep_kernel, folded_mean,
-                           kernel_matrix, linear_kernel, lrelu_kernel,
+                           kernel_diag, kernel_matrix, linear_kernel,
+                           lrelu_kernel,
                            lrelu_mean, single_layer_kernel_with_bias)
+
+from mlpgp.data import gen_sine, gen_smooth_xor
 
 from _oracles import bivariate_mc, bivariate_moment_oracle, leaky_relu, \
     univariate_expect, weightspace_kernel_mc
@@ -427,6 +430,72 @@ def test_kernel_matrix_batch_marks_vanished_slice():
         vanished = _assert_batch_matches(X, X, net(_batch(sigmas)),
                                          [net(s) for s in sigmas])
     assert vanished.tolist() == [False, True, False]
+
+
+def _grid_nets(depth, dim, mus, sig2s):
+    # one net per (mu, sigma^2): every LReLU layer shares it, as in a grid
+    return [NetworkHyper(0.0, dim, (LayerHyper(mu, np.sqrt(s2)),) * (depth - 1)
+                         + (LayerHyper(0.0, 1.0),))
+            for mu in mus for s2 in sig2s]
+
+
+def _diag_inputs():
+    return [x for ds in (gen_sine(0), gen_smooth_xor(0))
+            for x in (ds.X_train, ds.X_test)]
+
+
+def test_kernel_diag_is_the_gram_diagonal():
+    # the diagonal alone has the bits of the full Gram's diagonal, and a
+    # vanishing net raises the same error, at the same layer and value
+    n_vanished = 0
+    for X in _diag_inputs():
+        for depth in (2, 4, 8, 16):
+            for net in _grid_nets(depth, X.shape[1], np.linspace(-2.5, 1.0, 4),
+                                  np.linspace(0.1, 8.0, 4)):
+                try:
+                    K = kernel_matrix(X, X, net)
+                except VanishedSignalError as full:
+                    with pytest.raises(VanishedSignalError) as diag:
+                        kernel_diag(X, net)
+                    assert (diag.value.layer, diag.value.value) == \
+                        (full.layer, full.value)
+                    n_vanished += 1
+                    continue
+                assert np.array_equal(kernel_diag(X, net), np.diag(K))
+    assert n_vanished > 0
+    # slope 0 at depth 32: cancellation moves a diagonal pair off the
+    # colinear branch into bvn_cdf's gemv, which rounds a row by its place in
+    # the call, so one entry differs in its last bits (README)
+    X = gen_smooth_xor(0).X_train
+    net = _grid_nets(32, 2, [np.linspace(-2.5, 1.0, 12)[4]], [0.1])[0]
+    assert np.allclose(kernel_diag(X, net), np.diag(kernel_matrix(X, X, net)),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_kernel_diag_batch_equals_slices():
+    # each slice of a batched diagonal is its own unbatched call; the
+    # vanishing (-2.5, 0.1) corner is marked and NaN
+    mus, sig2s = (g.ravel() for g in np.meshgrid(np.linspace(-2.5, 1.0, 3),
+                                                 np.linspace(0.1, 8.0, 3)))
+    for X in _diag_inputs():
+        for depth in (8, 16):
+            template = _grid_nets(depth, X.shape[1], [0.0], [1.0])[0]
+            batched = NetworkHyper(
+                0.0, X.shape[1],
+                (LayerHyper(_batch(mus), _batch(np.sqrt(sig2s))),)
+                * (depth - 1) + template.layers[-1:])
+            k, vanished = kernel_diag(X, batched)
+            assert k.shape == (mus.size, X.shape[0])
+            for got, gone, mu, s2 in zip(k, vanished, mus, sig2s):
+                net = _grid_nets(depth, X.shape[1], [mu], [s2])[0]
+                if gone:
+                    assert np.all(np.isnan(got))
+                    with pytest.raises(VanishedSignalError):
+                        kernel_diag(X, net)
+                else:
+                    assert np.array_equal(got, kernel_diag(X, net))
+            if depth == 16:
+                assert vanished[0] and mus[0] == -2.5 and sig2s[0] == 0.1
 
 
 def test_single_layer_bias_relu_diagonal():
