@@ -12,19 +12,20 @@ the maximiser constrained to mu = 0.  Two regularities to look for:
 
 from mlpgp import GridSpec, LayerHyper, NetworkHyper, gen_sine, \
     gen_smooth_xor, grid_eval
+from mlpgp.data import NOISE_VAR
 
 GRID = GridSpec((-2.5, 1.0), (0.1, 8.0), 60)
 DATASETS = [("sine", gen_sine(1)), ("smooth-xor", gen_smooth_xor(1))]
 
 for name, ds in DATASETS:
-    print(f"\n=== {name} (noise variance {ds.noise_var}) ===")
+    print(f"\n=== {name} (noise variance {NOISE_VAR}) ===")
     dim = ds.X_train.shape[1]
     print(f"{'depth':>5} | {'argmax (mu, s2)':>20} | {'mu=0 argmax s2':>14} | gap")
     for depth in (2, 4, 8, 16):
         template = NetworkHyper(0.0, dim, tuple([LayerHyper(0.0, 1.0)] * depth),
                                 final_layer_linear=True)
         res = grid_eval(ds.X_train, ds.y_train, template, GRID,
-                        target="log-ml", noise_var=ds.noise_var)
+                        target="log-ml", noise_var=NOISE_VAR)
         gap = res.argmax[2] - res.argmax_mu0[2]
         print(f"{depth:>5} | ({res.argmax[0]:+.2f}, {res.argmax[1]:.2f})"
               f"{'':>6} | {res.argmax_mu0[1]:>14.2f} | {gap:.3f}"

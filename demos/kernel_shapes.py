@@ -52,7 +52,7 @@ for mu, sig2 in SETTINGS:
 print("\nempirical check at (mu, sigma^2) = (-1, 2), depth 2, width", WIDTH)
 depth = 2
 mu, sig2 = -1.0, 2.0
-shape = NetworkShape(2, (WIDTH,) * depth, 1)
+shape = NetworkShape(2, (WIDTH,) * depth)
 for theta in np.linspace(0.1, np.pi - 0.1, 5):
     q, r = np.linalg.qr(rng.standard_normal((2, 2)))
     x = q @ np.array([1.0, 0.0])

@@ -16,6 +16,7 @@ from mlpgp import (GPModel, GridSpec, HyperPrior, LayerHyper,
                    MHConfig, NetworkHyper, gen_sine, grid_eval,
                    marginal_predictive, mh_sample, posterior_predictive,
                    substitute_hyper)
+from mlpgp.data import NOISE_VAR
 
 GRID = GridSpec((-2.5, 1.0), (0.1, 8.0), 50)
 ds = gen_sine(1)
@@ -29,22 +30,22 @@ for depth in (2, 4, 8):
     template = NetworkHyper(0.0, 1, tuple([LayerHyper(0.0, 1.0)] * depth),
                             final_layer_linear=True)
     ml = grid_eval(ds.X_train, ds.y_train, template, GRID, "log-ml",
-                   ds.noise_var)
+                   NOISE_VAR)
     post = grid_eval(ds.X_train, ds.y_train, template, GRID, "log-posterior",
-                     ds.noise_var)
+                     NOISE_VAR)
     rows = {}
     for label, point in [("mle", ml.argmax), ("map", post.argmax),
                          ("mle-mu0", ml.argmax_mu0),
                          ("map-mu0", post.argmax_mu0)]:
         net = substitute_hyper(template, point[0], point[1])
         pp = posterior_predictive(ds.X_test, ds.X_train, ds.y_train,
-                                  GPModel(net, ds.noise_var))
+                                  GPModel(net, NOISE_VAR))
         rows[label] = (point[0], point[1], mse(pp.mean), pp.mean)
 
     chain = mh_sample(ds.X_train, ds.y_train, template, HyperPrior(),
-                      MHConfig(seed=depth), post.argmax[:2], ds.noise_var)
+                      MHConfig(seed=depth), post.argmax[:2], NOISE_VAR)
     marg = marginal_predictive(ds.X_test, ds.X_train, ds.y_train, template,
-                               chain, ds.noise_var)
+                               chain, NOISE_VAR)
 
     print(f"\n=== sine, depth {depth} ===")
     for label, (mu, s2, err, _) in rows.items():

@@ -139,7 +139,7 @@ def cmd_kernel_curve(args) -> int:
         K = kernel_matrix(np.stack([x, y]), np.stack([x, y]), net)
         row = [_fmt(theta), _fmt(K[0, 1] / np.sqrt(K[0, 0] * K[1, 1]))]
         if args.empirical_width:
-            shape = NetworkShape(2, (args.empirical_width,) * args.depth, 1)
+            shape = NetworkShape(2, (args.empirical_width,) * args.depth)
             netw = sample_weights(shape, IIDGaussian(args.mu, np.sqrt(args.sigma2)),
                                   args.slope, weight_rng.spawn(1)[0])
             acts = activations(netw, np.stack([x, y]))[args.depth - 1]

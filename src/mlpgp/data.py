@@ -1,14 +1,14 @@
 """Benchmark regression datasets: Sine, Smooth XOR, and the Snelson loader."""
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Dataset", "gen_sine", "gen_smooth_xor", "load_snelson"]
 
 SQRT3 = np.sqrt(3.0)
-DEFAULT_NOISE_VAR = 0.1
+# observation-noise variance of every dataset; the generated ones draw at it
+NOISE_VAR = 0.1
 
 SNELSON_ROWS = 200
 SNELSON_TRAIN = 10
@@ -16,27 +16,18 @@ SNELSON_TRAIN = 10
 
 @dataclass
 class Dataset:
-    """Train/test regression data with a fixed observation-noise variance.
-
-    For generated datasets the sampled noise is kept so the noiseless
-    targets stay recoverable as y - noise.
-    """
+    """Train/test regression data; the noise variance is NOISE_VAR."""
 
     X_train: np.ndarray
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
-    noise_var: float = DEFAULT_NOISE_VAR
-    noise_train: Optional[np.ndarray] = field(default=None, repr=False)
-    noise_test: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.X_train.shape[0] != self.y_train.shape[0]:
             raise ValueError("train rows and targets disagree")
         if self.X_test.shape[0] != self.y_test.shape[0]:
             raise ValueError("test rows and targets disagree")
-        if self.noise_var < 0.0:
-            raise ValueError("noise variance must be non-negative")
 
     @property
     def input_dim(self) -> int:
@@ -47,17 +38,14 @@ def _generated(seed: int, target, X_train: np.ndarray, draw_test) -> Dataset:
     # one default_rng(seed) draws the training noise, the test inputs
     # (draw_test(rng)) and the test noise, in that order
     rng = np.random.default_rng(seed)
-    noise_train = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), X_train.shape[0])
+    noise_train = rng.normal(0.0, np.sqrt(NOISE_VAR), X_train.shape[0])
     X_test = draw_test(rng)
-    noise_test = rng.normal(0.0, np.sqrt(DEFAULT_NOISE_VAR), X_test.shape[0])
+    noise_test = rng.normal(0.0, np.sqrt(NOISE_VAR), X_test.shape[0])
     return Dataset(
         X_train=X_train,
         y_train=target(X_train) + noise_train,
         X_test=X_test,
         y_test=target(X_test) + noise_test,
-        noise_var=DEFAULT_NOISE_VAR,
-        noise_train=noise_train,
-        noise_test=noise_test,
     )
 
 
@@ -127,6 +115,5 @@ def load_snelson(path) -> Dataset:
         y_train=y[train_idx],
         X_test=x[test_mask][:, None],
         y_test=y[test_mask],
-        noise_var=DEFAULT_NOISE_VAR,
     )
 

@@ -37,15 +37,14 @@ END_SIGMA = SQRT2
 
 @dataclass(frozen=True)
 class NetworkShape:
-    """Finite widths: input_dim -> widths[0] -> ... -> output_dim."""
+    """Finite widths: input_dim -> widths[0] -> ... -> one output."""
 
     input_dim: int
     widths: Tuple[int, ...]
-    output_dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if self.input_dim < 1 or self.output_dim < 1 or not self.widths:
+        if self.input_dim < 1 or not self.widths:
             raise ValueError("all dimensions must be >= 1")
         if any(w < 1 for w in self.widths):
             raise ValueError("hidden widths must be >= 1")
@@ -55,7 +54,7 @@ class NetworkShape:
         return len(self.widths) + 1
 
     def layer_dims(self) -> List[Tuple[int, int]]:
-        sizes = [self.input_dim, *self.widths, self.output_dim]
+        sizes = [self.input_dim, *self.widths, 1]
         return [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
 
 
@@ -247,7 +246,7 @@ def activations(netw: SampledNetwork, X) -> List[np.ndarray]:
 
 
 def forward(netw: SampledNetwork, X) -> np.ndarray:
-    """Network outputs for the input rows of X (linear final layer)."""
+    """Outputs at the rows of X; (N, k) for a loaded net with k > 1 outputs."""
     out = activations(netw, X)[-1]
     return out[:, 0] if out.shape[1] == 1 else out
 

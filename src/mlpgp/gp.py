@@ -160,18 +160,16 @@ def perturbation_bound(Xstar, X, y, net: NetworkHyper, c1: float, c2: float,
     if eigs[0] <= 0.0:
         raise FactorizationError("base gram matrix is singular")
     inv_norm = 1.0 / eigs[0]
-    ratio = s * s * inv_norm * max(1.0 / (c1 * c1), 1.0 / (c2 * c2))
-    if ratio >= 1.0:
+    r = [(s * s / (c * c)) * inv_norm for c in (c1, c2)]
+    if max(r) >= 1.0:
         raise ValueError(
-            f"perturbation proviso violated: s^2 ||K^-1|| / c^2 = {ratio:.3g} >= 1")
+            f"perturbation proviso violated: s^2 ||K^-1|| / c^2 = {max(r):.3g} >= 1")
     means = [K_sx @ np.linalg.solve(K_xx + (s * s / (c * c)) * np.eye(X.shape[0]), y)
              for c in (c1, c2)]
     lhs = float(np.linalg.norm(means[0] - means[1]))
     inv_y_norm = float(np.linalg.norm(np.linalg.solve(K_xx, y)))
     ksx_norm = float(np.linalg.norm(K_sx, 2))
-    worst = max((s * s / (c * c)) * inv_norm / (1.0 - (s * s / (c * c)) * inv_norm)
-                for c in (c1, c2))
-    bound = 2.0 * ksx_norm * inv_y_norm * worst
+    bound = 2.0 * ksx_norm * inv_y_norm * max(r_c / (1.0 - r_c) for r_c in r)
     return lhs, bound
 
 

@@ -6,8 +6,9 @@ behind `deep_kernel`, `kernel_matrix` and `kernel_diag`.  The internal moment
 maps take a pre-activation pair (G1, G2) with std-devs s1, s2, correlation
 rho and means t1, t2 as plain broadcast-compatible floats or arrays, and
 check nothing: `LayerHyper`, `NetworkHyper` and the recursion's zero-norm
-and vanished-signal checks keep them on their domain.  Broadcasting is what
-makes `kernel_matrix` cheap: the whole Gram recursion runs on (N, 1) /
+and vanished-signal checks keep them on their domain.  They trust rho too:
+each caller clips it into [-1, 1] once, where it forms it.  Broadcasting is
+what makes `kernel_matrix` cheap: the whole Gram recursion runs on (N, 1) /
 (1, M) / (N, M) shaped arrays, or (G, N, M) ones for a batch of G nets
 (`LayerHyper` values of shape (G, 1, 1)), whose slices `bvn_cdf`'s
 quadrature sums apart.  `kernel_diag` runs it on (N, 1) arrays alone, one
@@ -160,7 +161,6 @@ def _abs_moment_colinear(b1, b2):
 def abs_kernel(s1, s2, rho, t1, t2) -> np.ndarray:
     """E|G1||G2| (folded Gaussian cross moment); s1, s2 > 0, |rho| <= 1."""
     s1, s2, rho, t1, t2 = np.broadcast_arrays(s1, s2, rho, t1, t2)
-    rho = np.clip(rho, -1.0, 1.0)
     m1 = t1 / s1
     m2 = t2 / s2
     sin2 = (1.0 - rho) * (1.0 + rho)
@@ -198,7 +198,6 @@ def cross_term(s1, s2, rho, t1, t2) -> ArrayLike:
     Domain: s1, s2 > 0 and |rho| <= 1.  Rotation trick: with Q = Z + t2/s2,
     the moment reduces to univariate folded moments E|Q| and E[Theta(Q) Q^2].
     """
-    rho = np.clip(rho, -1.0, 1.0)
     m1 = t1 / s1
     m2 = t2 / s2
     e_abs_q = folded_mean(m2, 1.0)

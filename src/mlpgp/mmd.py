@@ -112,8 +112,6 @@ class ConvergenceResult:
     mmd2: np.ndarray
     null_lo: np.ndarray
     null_hi: np.ndarray
-    scheme: str
-    depth: int
 
 
 # raw float32 weight-buffer budget of one _mlp_samples chunk
@@ -253,4 +251,4 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
         mmd2[i] = _mmd2_from_blocks(G[:n, :n], G[n:, n:], G[:n, n:])
         lo[i], hi[i] = _null_band_from_gram(G, n, m, n_perm,
                                             perm_children[i])
-    return ConvergenceResult(widths, mmd2, lo, hi, scheme.name, depth)
+    return ConvergenceResult(widths, mmd2, lo, hi)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr, ttest_1samp
 
-from mlpgp.data import gen_sine, gen_smooth_xor
+from mlpgp.data import NOISE_VAR, gen_sine, gen_smooth_xor
 from mlpgp.finite_net import get_scheme
 from mlpgp.gp import GPModel, perturbation_bound, posterior_predictive
 from mlpgp.hyper import (Chain, GridSpec, MHConfig, grid_eval,
@@ -156,10 +156,10 @@ def test_criterion_06_sine_regression_sanity():
                                 True)
         res = grid_eval(ds.X_train, ds.y_train, template,
                         GridSpec((-2.5, 1.0), (0.1, 8.0), 50), "log-ml",
-                        noise_var=ds.noise_var)
+                        noise_var=NOISE_VAR)
         net = substitute_hyper(template, res.argmax[0], res.argmax[1])
         pp = posterior_predictive(ds.X_test, ds.X_train, ds.y_train,
-                                  GPModel(net, ds.noise_var))
+                                  GPModel(net, NOISE_VAR))
         mse = float(np.mean((pp.mean - ds.y_test) ** 2))
         assert mse <= 0.5 * float(np.var(ds.y_test))
         assert time.time() - start < 120.0
@@ -176,7 +176,7 @@ def test_criterion_07_nonzero_mean_evidence():
                                     True)
             res = grid_eval(ds.X_train, ds.y_train, template,
                             GridSpec((-2.5, 1.0), (0.1, 8.0), 50), "log-ml",
-                            noise_var=ds.noise_var)
+                            noise_var=NOISE_VAR)
             assert res.argmax[2] > res.argmax_mu0[2]
             assert res.argmax[0] != 0.0
         assert time.time() - start < 300.0
@@ -220,10 +220,10 @@ def test_criterion_09_point_mass_marginalisation():
         atom = (-0.4, 2.2)
         chain = Chain(np.array([atom]), np.array([0.0]), 1.0)
         mp = marginal_predictive(ds.X_test, ds.X_train, ds.y_train, template,
-                                 chain, noise_var=ds.noise_var)
+                                 chain, noise_var=NOISE_VAR)
         net = substitute_hyper(template, *atom)
         pp = posterior_predictive(ds.X_test, ds.X_train, ds.y_train,
-                                  GPModel(net, ds.noise_var))
+                                  GPModel(net, NOISE_VAR))
         assert np.array_equal(mp.mean, pp.mean)
         assert np.array_equal(mp.var, pp.var)
 
@@ -254,14 +254,14 @@ def test_criterion_11_sigma_insensitivity():
                                 True)
         spec = GridSpec((-2.5, 1.0), (0.1, 8.0), 50)
         mle = grid_eval(ds.X_train, ds.y_train, template, spec, "log-ml",
-                        noise_var=ds.noise_var)
+                        noise_var=NOISE_VAR)
         mapr = grid_eval(ds.X_train, ds.y_train, template, spec,
-                         "log-posterior", noise_var=ds.noise_var)
+                         "log-posterior", noise_var=NOISE_VAR)
         means = []
         for point in (mle.argmax_mu0, mapr.argmax_mu0):
             net = substitute_hyper(template, point[0], point[1])
             means.append(posterior_predictive(
                 ds.X_test, ds.X_train, ds.y_train,
-                GPModel(net, ds.noise_var)).mean)
+                GPModel(net, NOISE_VAR)).mean)
         rms = float(np.sqrt(np.mean((means[0] - means[1]) ** 2)))
         assert rms < 1e-2

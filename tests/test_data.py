@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mlpgp.data import Dataset, gen_sine, gen_smooth_xor, load_snelson
+from mlpgp.data import (NOISE_VAR, Dataset, _xor_target, gen_sine,
+                        gen_smooth_xor, load_snelson)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -13,14 +14,13 @@ def test_gen_sine_layout():
     assert ds.X_train[0, 0] == -SQRT3
     assert ds.X_train[-1, 0] == SQRT3
     assert np.all(np.abs(ds.X_test) <= SQRT3)
-    assert ds.noise_var == 0.1
 
 
 def test_gen_sine_noise_recoverable_and_deterministic():
+    # the training noise y - sin(x) is the seed's first NOISE_VAR draws
     ds = gen_sine(7)
-    assert np.allclose(ds.y_train - ds.noise_train, np.sin(ds.X_train[:, 0]),
-                       rtol=0, atol=1e-14)
-    assert np.allclose(ds.y_test - ds.noise_test, np.sin(ds.X_test[:, 0]),
+    noise = np.random.default_rng(7).normal(0.0, np.sqrt(NOISE_VAR), 10)
+    assert np.allclose(ds.y_train - np.sin(ds.X_train[:, 0]), noise,
                        rtol=0, atol=1e-14)
     again = gen_sine(7)
     assert np.array_equal(ds.y_train, again.y_train)
@@ -34,7 +34,7 @@ def test_gen_smooth_xor_targets():
     assert ds.X_train.shape == (4, 2)
     corners = {tuple(row) for row in ds.X_train}
     assert corners == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    clean = ds.y_train - ds.noise_train
+    clean = _xor_target(ds.X_train)
     for row, value in zip(ds.X_train, clean):
         want = -row[0] * row[1] * np.exp(2 - row[0] ** 2 - row[1] ** 2)
         assert abs(value - want) < 1e-14
@@ -45,7 +45,6 @@ def test_gen_smooth_xor_targets():
     assert ds.X_test.shape == (100, 2)
     assert np.all(np.abs(ds.X_test) <= 2.0)
     # x1 = 0 kills the target
-    from mlpgp.data import _xor_target
     assert _xor_target(np.array([[0.0, 1.7]]))[0] == 0.0
 
 
@@ -60,7 +59,7 @@ def test_generated_datasets_follow_one_draw_order(seed):
     x_test = np.sort(rng.uniform(-SQRT3, SQRT3, 100))
     e_test = rng.normal(0.0, sd, 100)
     want_sine = (x_train[:, None], np.sin(x_train) + e_train, x_test[:, None],
-                 np.sin(x_test) + e_test, e_train, e_test)
+                 np.sin(x_test) + e_test)
     rng = np.random.default_rng(seed)
     X_train = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     e_train = rng.normal(0.0, sd, 4)
@@ -70,12 +69,10 @@ def test_generated_datasets_follow_one_draw_order(seed):
     def xor(X):
         return -X[:, 0] * X[:, 1] * np.exp(2.0 - X[:, 0] ** 2 - X[:, 1] ** 2)
 
-    want_xor = (X_train, xor(X_train) + e_train, X_test, xor(X_test) + e_test,
-                e_train, e_test)
+    want_xor = (X_train, xor(X_train) + e_train, X_test, xor(X_test) + e_test)
     for ds, want in ((gen_sine(seed), want_sine),
                      (gen_smooth_xor(seed), want_xor)):
-        got = (ds.X_train, ds.y_train, ds.X_test, ds.y_test, ds.noise_train,
-               ds.noise_test)
+        got = (ds.X_train, ds.y_train, ds.X_test, ds.y_test)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w)
@@ -132,5 +129,4 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 1)), np.zeros(2), np.zeros((1, 1)), np.zeros(1))
     with pytest.raises(ValueError):
-        Dataset(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 1)), np.zeros(1),
-                noise_var=-0.1)
+        Dataset(np.zeros((2, 1)), np.zeros(2), np.zeros((3, 1)), np.zeros(1))

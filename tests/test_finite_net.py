@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mlpgp.finite_net import (END_SIGMA, IIDGaussian, NetworkShape,
-                              activations, dump_weights, forward, get_scheme,
-                              layer_prior, load_weights, sample_weights)
+                              SampledNetwork, activations, dump_weights,
+                              forward, get_scheme, layer_prior, load_weights,
+                              sample_weights)
 from mlpgp.kernels import arccos_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -11,11 +12,11 @@ SQRT3 = np.sqrt(3.0)
 
 
 def test_network_shape():
-    shape = NetworkShape(10, (32, 16), 1)
+    shape = NetworkShape(10, (32, 16))
     assert shape.n_layers == 3
     assert shape.layer_dims() == [(32, 10), (16, 32), (1, 16)]
     with pytest.raises(ValueError):
-        NetworkShape(0, (4,), 1)
+        NetworkShape(0, (4,))
 
 
 def test_scheme_hyperparams_table():
@@ -51,7 +52,7 @@ def test_f4_analytic_sigma_matches_generator_variance():
 def test_f1_element_moments():
     # >= 1e6 elements; element mean 0 and variance 2/n within 3 SE
     n = 1024
-    shape = NetworkShape(n, (n, n), 1)  # middle layer is the RCE one
+    shape = NetworkShape(n, (n, n))  # middle layer is the RCE one
     netw = sample_weights(shape, get_scheme("f1"), 0.0, seed=11)
     W = netw.weights[1]
     assert W.size >= 10 ** 6
@@ -64,7 +65,7 @@ def test_f1_element_moments():
 
 def test_f2_effective_hyperparameters():
     n = 1024
-    shape = NetworkShape(n, (n, n), 1)
+    shape = NetworkShape(n, (n, n))
     netw = sample_weights(shape, get_scheme("f2"), 0.0, seed=21)
     W = netw.weights[1]
     se_mean = np.sqrt(8.0 / n) / np.sqrt(W.size)
@@ -76,7 +77,7 @@ def test_f3_column_means_average_out():
     # scaled column means follow -1.5 A C_i plus noise of std sqrt(2); a
     # regression on C recovers the slope, and the average tends to zero
     n = 4096
-    shape = NetworkShape(n, (n, n), 1)
+    shape = NetworkShape(n, (n, n))
     netw = sample_weights(shape, get_scheme("f3"), 0.0, seed=31)
     W = netw.weights[1]
     A, B, C = netw.latents[1]
@@ -93,7 +94,7 @@ def test_f3_column_means_average_out():
 def test_centring_identity():
     # mean of W - mu_ji / n over all elements shrinks like 1/sqrt(width * n)
     n = 4096
-    shape = NetworkShape(n, (n, n), 1)
+    shape = NetworkShape(n, (n, n))
     for name in ("f2", "f3", "f4"):
         scheme = get_scheme(name)
         netw = sample_weights(shape, scheme, 0.0, seed=5)
@@ -108,7 +109,7 @@ def test_centring_identity():
 
 def test_rce_permutation_invariance():
     # permuting rows and columns leaves the first two sample moments alone
-    shape = NetworkShape(256, (256, 256), 1)
+    shape = NetworkShape(256, (256, 256))
     netw = sample_weights(shape, get_scheme("f4"), 0.0, seed=8)
     W = netw.weights[1]
     rng = np.random.default_rng(0)
@@ -122,7 +123,7 @@ def test_iid_he_scaling_preserves_signal_norm():
     # layers in expectation; average a few draws to beat the 1/sqrt(width)
     # fluctuation
     width = 4096
-    shape = NetworkShape(64, (width, width, width), 1)
+    shape = NetworkShape(64, (width, width, width))
     x = np.random.default_rng(1).standard_normal(64)
     base = float(np.mean(x ** 2))
     sums = np.zeros(3)
@@ -136,11 +137,14 @@ def test_iid_he_scaling_preserves_signal_norm():
 
 
 def test_forward_linear_and_relu_cases():
-    # one linear layer reproduces the matrix product
-    shape = NetworkShape(3, (4,), 2)
-    netw = sample_weights(shape, IIDGaussian(0.0, 1.0), 0.0, seed=0)
+    # one linear layer reproduces the matrix product, for two outputs as
+    # load_weights may read them
+    rng = np.random.default_rng(0)
+    netw = SampledNetwork([rng.standard_normal((4, 3)),
+                           rng.standard_normal((2, 4))], 0.0)
     X = np.random.default_rng(2).standard_normal((5, 3))
     out = forward(netw, X)
+    assert out.shape == (5, 2)
     want = np.maximum(X @ netw.weights[0].T, 0.0) @ netw.weights[1].T
     assert np.allclose(out, want, atol=0)
     # all-negative pre-activations die under ReLU
@@ -156,7 +160,7 @@ def test_forward_empirical_kernel_matches_limit():
     theta = 1.2
     x = np.array([1.0, 0.0])
     y = np.array([np.cos(theta), np.sin(theta)])
-    shape = NetworkShape(2, (3000,), 1)
+    shape = NetworkShape(2, (3000,))
     vals = []
     for seed in range(3):
         netw = sample_weights(shape, IIDGaussian(0.0, SQRT2), 0.0, seed=seed)
@@ -167,7 +171,7 @@ def test_forward_empirical_kernel_matches_limit():
 
 
 def test_sampling_determinism_and_substreams():
-    shape = NetworkShape(8, (16, 16), 1)
+    shape = NetworkShape(8, (16, 16))
     a = sample_weights(shape, get_scheme("f2"), 0.1, seed=9)
     b = sample_weights(shape, get_scheme("f2"), 0.1, seed=9)
     for wa, wb in zip(a.weights, b.weights):
@@ -187,7 +191,7 @@ def test_layer_prior_keeps_gaussian_ends_for_rce_nets():
         layer_prior(object(), 2, 3)
     # the sampler reads the same rule: an RCE net's ends are the draws of
     # an iid net at (0, END_SIGMA) from the same layer substreams
-    shape = NetworkShape(10, (16, 16, 16), 1)
+    shape = NetworkShape(10, (16, 16, 16))
     rce = sample_weights(shape, get_scheme("f4"), 0.0, seed=5)
     gauss = sample_weights(shape, ends, 0.0, seed=5)
     for l in (0, -1):
@@ -197,7 +201,7 @@ def test_layer_prior_keeps_gaussian_ends_for_rce_nets():
 
 
 def test_weight_dump_roundtrip(tmp_path):
-    shape = NetworkShape(5, (7,), 1)
+    shape = NetworkShape(5, (7,))
     netw = sample_weights(shape, IIDGaussian(-0.3, 1.1), 0.2, seed=4)
     manifest = dump_weights(netw, tmp_path)
     assert manifest.exists()

@@ -11,6 +11,7 @@ from mlpgp.kernels import (VANISHED_TOL, DegenerateInputError, LayerHyper,
                            lrelu_kernel,
                            lrelu_mean, single_layer_kernel_with_bias)
 
+from mlpgp import kernels
 from mlpgp.data import gen_sine, gen_smooth_xor
 
 from _oracles import bivariate_mc, bivariate_moment_oracle, leaky_relu, \
@@ -126,7 +127,7 @@ def test_monte_carlo_agreement_single_layer_moments():
             assert abs(func(s1, s2, rho, t1, t2) - est) < 4.0 * se + 1e-12
 
 
-def test_input_state_canonical_values():
+def test_first_layer_preactivation_canonical_values():
     # one LReLU layer whose pre-activation is standard normal for unit inputs
     net = NetworkHyper(0.0, 2, (LayerHyper(0.0, SQRT2),), False)
     x, y = [1.0, 0.0], [0.0, 1.0]
@@ -142,7 +143,7 @@ def test_input_state_canonical_values():
     assert abs(orth / diag - arccos_reference(np.pi / 2, 0.0, 1)) < 1e-13
 
 
-def test_input_state_nonzero_mean_matches_quadrature():
+def test_first_layer_preactivation_nonzero_mean_matches_quadrature():
     layer = LayerHyper(-0.9, 1.3)
     x = np.array([0.6, -0.2, 1.1])
     y = np.array([-0.4, 0.9, 0.3])
@@ -156,14 +157,14 @@ def test_input_state_nonzero_mean_matches_quadrature():
     assert abs(got - want) < 1e-10
 
 
-def test_input_state_degenerate_input():
+def test_first_layer_preactivation_degenerate_input():
     net = constant_hyper(0.0, 1.0, 2, 2)
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateInputError):
         kernel_matrix(X, X, net)
 
 
-def test_layer_step_relu_unit():
+def test_moment_step_relu_unit():
     # hidden layer (mu, sigma) = (0, sqrt2) on the state (1, 1, 0, 0, 0)
     k_xx, _, k_xy, m_x, _ = _moment_step(SQRT2, SQRT2, 0.0, 0.0, 0.0, 0.0)
     assert abs(k_xx - 1.0) < 1e-14
@@ -174,7 +175,7 @@ def test_layer_step_relu_unit():
     assert abs(k_xy - k_xx) < 1e-14
 
 
-def test_layer_step_generic_oracle():
+def test_moment_step_generic_oracle():
     # hidden layer (mu, sigma) = (-1, sqrt2) on the state (1, 1, 0.5, 0.4, 0.4)
     k_xy = lrelu_kernel(SQRT2, SQRT2, 0.5, -0.4, -0.4, 0.0)
     assert abs(k_xy - LAYER_KXY) < 1e-12
@@ -182,7 +183,7 @@ def test_layer_step_generic_oracle():
     assert abs(lrelu_mean(-0.4, SQRT2, 0.0) - want_m) < 1e-10
 
 
-def test_layer_step_vanished_signal():
+def test_moment_step_vanished_signal():
     # layer two's sigma of 1e-160 squares into a subnormal k_xx = 2.5e-321
     net = NetworkHyper(0.0, 2, (LayerHyper(0.0, SQRT2), LayerHyper(0.0, 1e-160),
                                 LayerHyper(0.0, 1.0)), False)
@@ -196,7 +197,7 @@ def test_layer_step_vanished_signal():
     assert np.isclose(err.value.value, 2.5e-321, rtol=1e-2, atol=0.0)
 
 
-def test_layer_step_preserves_cauchy_schwarz():
+def test_moment_step_preserves_cauchy_schwarz():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         kxx, kyy = rng.uniform(0.05, 4.0, 2)
@@ -415,7 +416,7 @@ def test_kernel_matrix_batch_equals_slices():
 
 
 def test_kernel_matrix_batch_marks_vanished_slice():
-    # the vanishing net of test_layer_step_vanished_signal, as the middle
+    # the vanishing net of test_moment_step_vanished_signal, as the middle
     # slice of a batch: it is marked, and the other slices are untouched
     sigmas = [1.3, 1e-160, 0.7]
     X = np.array([[1.0, 0.0], [0.6, 0.8]])
@@ -432,9 +433,9 @@ def test_kernel_matrix_batch_marks_vanished_slice():
     assert vanished.tolist() == [False, True, False]
 
 
-def _grid_nets(depth, dim, mus, sig2s):
+def _grid_nets(depth, dim, mus, sig2s, a=0.0):
     # one net per (mu, sigma^2): every LReLU layer shares it, as in a grid
-    return [NetworkHyper(0.0, dim, (LayerHyper(mu, np.sqrt(s2)),) * (depth - 1)
+    return [NetworkHyper(a, dim, (LayerHyper(mu, np.sqrt(s2)),) * (depth - 1)
                          + (LayerHyper(0.0, 1.0),))
             for mu in mus for s2 in sig2s]
 
@@ -496,6 +497,41 @@ def test_kernel_diag_batch_equals_slices():
                     assert np.array_equal(got, kernel_diag(X, net))
             if depth == 16:
                 assert vanished[0] and mus[0] == -2.5 and sig2s[0] == 0.1
+
+
+def test_moment_maps_receive_clipped_rho(monkeypatch):
+    # the moment maps trust |rho| <= 1: the first layer, every hidden layer
+    # and the diagonal pairs hand lrelu_kernel a rho clipped into [-1, 1]
+    real = kernels.lrelu_kernel
+    n_calls = 0
+
+    def checked(s1, s2, rho, t1, t2, a):
+        nonlocal n_calls
+        assert np.all(np.abs(rho) <= 1.0)
+        n_calls += 1
+        return real(s1, s2, rho, t1, t2, a)
+
+    monkeypatch.setattr(kernels, "lrelu_kernel", checked)
+    mus, sig2s = np.linspace(-2.5, 1.0, 3), np.linspace(0.1, 8.0, 3)
+    mu_b, s2_b = (g.ravel() for g in np.meshgrid(mus, sig2s))
+    for ds in (gen_sine(0), gen_smooth_xor(0)):
+        # some Smooth XOR test rows have x.x / (|x| |x|) > 1 before the clip
+        X, Y = ds.X_test[:20], ds.X_train
+        for depth in (2, 3, 4, 8, 16):
+            for a in (-0.5, 0.0, 0.3):
+                batched = NetworkHyper(
+                    a, X.shape[1],
+                    (LayerHyper(_batch(mu_b), _batch(np.sqrt(s2_b))),)
+                    * (depth - 1) + (LayerHyper(0.0, 1.0),))
+                for net in _grid_nets(depth, X.shape[1], mus, sig2s, a) \
+                        + [batched]:
+                    try:
+                        kernel_matrix(X, X, net)
+                        kernel_matrix(X, Y, net)
+                        kernel_diag(X, net)
+                    except VanishedSignalError:
+                        pass
+    assert n_calls > 0
 
 
 def test_single_layer_bias_relu_diagonal():

@@ -102,7 +102,7 @@ def test_unsupported_scheme_is_a_type_error():
     S = np.zeros((2, 3))
     for bad in (object(), "f1", (0.0, 1.0)):
         with pytest.raises(TypeError):
-            sample_weights(NetworkShape(3, (4,), 1), bad, 0.0, 0)
+            sample_weights(NetworkShape(3, (4,)), bad, 0.0, 0)
         with pytest.raises(TypeError):
             limiting_hyper(bad, 3, 3)
         with pytest.raises(TypeError):
@@ -128,7 +128,7 @@ def test_random_hyper_is_derived_from_the_hyperparameter_terms():
 def test_fast_sampler_matches_reference_distribution():
     # reference: one independent sample_weights + forward draw per sample
     S = np.random.default_rng(0).standard_normal((4, 10))
-    shape = NetworkShape(10, (96,) * 3, 1)
+    shape = NetworkShape(10, (96,) * 3)
     for scheme in (get_scheme("f1"), get_scheme("f2"), get_scheme("f3"),
                    get_scheme("f4"), IIDGaussian(0.0, SQRT2)):
         fast = _mlp_samples(scheme, 4, 96, S, 3000, 0.0,
@@ -198,7 +198,6 @@ def test_convergence_experiment_small():
                                  n_perm=50)
     assert res.widths == (8, 64)
     assert res.mmd2[0] > res.mmd2[1]
-    assert res.scheme == "f1" and res.depth == 4
     with pytest.raises(ValueError):
         convergence_experiment(get_scheme("f1"), 4, (64, 8), n_samples=10)
     # one sample has no unbiased MMD^2 (it came out nan); no probes gave
@@ -215,3 +214,19 @@ def test_convergence_experiment_random_hyper_scheme():
                                  (32, 128), d_probe=3, n_samples=200,
                                  input_dim=6, seed=1, n_perm=40)
     assert np.all(np.isfinite(res.mmd2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_f4_networks_converge_to_the_analytic_limit(seed):
+    # ROADMAP item 5: at width 256 the f4 networks' MMD^2 lies inside the
+    # null band against the analytic limit sqrt(2)|A + sqrt(3)|, and above
+    # it against the default table limit 2|A + sqrt(3)|
+    def at_256(convention):
+        res = convergence_experiment(get_scheme("f4", f4_sigma=convention), 4,
+                                     (16, 256), n_samples=500, seed=seed)
+        return res.mmd2[-1], res.null_lo[-1], res.null_hi[-1]
+
+    mmd2, lo, hi = at_256("analytic")
+    assert lo <= mmd2 <= hi
+    mmd2, lo, hi = at_256("table")
+    assert mmd2 > hi
