@@ -188,6 +188,7 @@ def cmd_fit(args) -> int:
             "map": chain.map_estimate(),
             "posterior_mean": chain.samples.mean(axis=0).tolist(),
             "n_samples": len(chain),
+            "neg_inf_proposals": chain.n_neg_inf,
             "init": list(init),
             "skipped_predictions": pred_test.n_skipped,
         }
@@ -302,7 +303,7 @@ def _add_common(p, dataset=False, mh=False, _min_depth=1):
     if dataset:
         p.add_argument("--dataset", required=True, type=_dataset_arg,
                        help="sine | xor | snelson:PATH")
-        p.add_argument("--noise-var", default=0.1,
+        p.add_argument("--noise-var", default=datamod.NOISE_VAR,
                        type=_checked(float, lambda v: 0.0 <= v < math.inf,
                                      ">= 0 and finite"),
                        help="observation noise variance")

@@ -11,6 +11,7 @@ from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
+from .data import NOISE_VAR
 from .gp import FactorizationError, GPModel, _lml_from_gram, \
     _predict_from_grams
 from .kernels import LayerHyper, NetworkHyper, _batch_slices, kernel_diag, \
@@ -50,6 +51,9 @@ class HyperPrior:
 # correlation -0.9, roughly tracking the diagonal ridge of the target
 _PROPOSAL_OFF = -0.9 * math.sqrt(2.38 * 4.76)
 PROPOSAL_COV = np.array([[2.38, _PROPOSAL_OFF], [_PROPOSAL_OFF, 4.76]])
+# proposals `mh_sample` drafts and scores per kernel call; the chain is the
+# same for every value
+PREFETCH = 8
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,16 @@ class MHConfig:
 
 @dataclass
 class Chain:
-    """Retained MH states: (mu, sigma^2) rows with their log densities."""
+    """Retained MH states: (mu, sigma^2) rows with their log densities.
+
+    n_neg_inf counts the proposals rejected for a -inf (non-finite) density,
+    invalid or evaluated.
+    """
 
     samples: np.ndarray
     log_densities: np.ndarray
     acceptance_rate: float
+    n_neg_inf: int = 0
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -205,6 +214,24 @@ def _log_targets(X, y, net_template: NetworkHyper,
     return values, jitters, vanished
 
 
+def _log_posteriors(X, y, net_template: NetworkHyper,
+                    prior: Optional[HyperPrior], noise_var: float) -> Callable:
+    """Batched `gp_log_posterior`: a (k, 2) array of (mu, sigma^2) rows to
+    their k log densities.  Rows with sigma^2 <= 0 or a non-finite value are
+    -inf without an evaluation; the rest share one `_log_targets` call.
+    """
+    def logp(thetas) -> np.ndarray:
+        mu, sigma2 = np.asarray(thetas, dtype=float).T
+        valid = np.isfinite(mu) & np.isfinite(sigma2) & (sigma2 > 0.0)
+        values = np.full(mu.size, -np.inf)
+        if np.any(valid):
+            values[valid] = _log_targets(X, y, net_template, prior, noise_var,
+                                         mu[valid], sigma2[valid])[0]
+        return values
+
+    return logp
+
+
 def gp_log_posterior(X, y, net_template: NetworkHyper,
                      prior: Optional[HyperPrior], noise_var: float) -> Callable:
     """log p(y | mu, sigma^2) (+ log hyper-prior when one is given).
@@ -212,18 +239,17 @@ def gp_log_posterior(X, y, net_template: NetworkHyper,
     Returns -inf for sigma^2 <= 0 and for hyperparameters where the Gram
     matrix cannot be factorised, so the result plugs straight into MH.
     """
+    logps = _log_posteriors(X, y, net_template, prior, noise_var)
+
     def logp(theta) -> float:
-        mu, sigma2 = float(theta[0]), float(theta[1])
-        if sigma2 <= 0.0 or not np.isfinite(mu) or not np.isfinite(sigma2):
-            return -np.inf
-        return _log_targets(X, y, net_template, prior, noise_var,
-                            np.array([mu]), np.array([sigma2]))[0][0]
+        return logps([[float(theta[0]), float(theta[1])]])[0]
 
     return logp
 
 
 def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
-              target: str = "log-ml", noise_var: float = 0.1) -> GridResult:
+              target: str = "log-ml",
+              noise_var: float = NOISE_VAR) -> GridResult:
     """Evaluate the evidence or hyper-posterior surface on the grid.
 
     Cell (i, j) holds the target at (mu_axis[i], sig2_axis[j]); failed
@@ -260,10 +286,27 @@ def random_walk_mh(log_density: Callable, init, config: MHConfig) -> Chain:
     Runs burn_in + thin * n_samples iterations and is deterministic for a
     fixed config.seed.
     """
+    def log_densities(thetas):
+        return np.array([float(log_density(thetas[0]))])
+
+    return _metropolis(log_densities, init, config, 1)
+
+
+def _metropolis(log_densities: Callable, init, config: MHConfig,
+                prefetch: int) -> Chain:
+    """The MH loop of `random_walk_mh`, scoring up to `prefetch` proposals
+    per `log_densities` call ((k, 2) points to k log densities).
+
+    The next proposals are drafted as if each is rejected at a finite
+    density, so each draws its step and its uniform; the walk through them
+    stops at the first acceptance or non-finite density.  The generator is
+    then put back where the steps taken leave it (a non-finite density
+    draws no uniform), so the chain has the bits of one proposal per call.
+    """
     rng = np.random.default_rng(config.seed)
     L = np.linalg.cholesky(PROPOSAL_COV)
     current = np.asarray(init, dtype=float).copy()
-    cur_ld = float(log_density(current))
+    cur_ld = log_densities(current[None])[0]
     if not np.isfinite(cur_ld):
         raise ValueError("initial state has zero target density")
     total = config.burn_in + config.thin * config.n_samples
@@ -271,35 +314,57 @@ def random_walk_mh(log_density: Callable, init, config: MHConfig) -> Chain:
     lds = np.empty(config.n_samples)
     kept = 0
     accepted = 0
-    for it in range(1, total + 1):
-        prop = current + L @ rng.standard_normal(2)
-        ld = float(log_density(prop))
-        if np.isfinite(ld) and np.log(rng.uniform()) < ld - cur_ld:
-            current = prop
-            cur_ld = ld
-            accepted += 1
-        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            samples[kept] = current
-            lds[kept] = cur_ld
-            kept += 1
-    return Chain(samples[:kept], lds[:kept], accepted / total)
+    n_neg_inf = 0
+    it = 0
+    while it < total:
+        drafted = min(prefetch, total - it)
+        start = rng.bit_generator.state
+        props = np.empty((drafted, 2))
+        log_u = np.empty(drafted)
+        for j in range(drafted):
+            props[j] = current + L @ rng.standard_normal(2)
+            log_u[j] = np.log(rng.uniform())
+        draft_lds = log_densities(props)
+        for taken, ld in enumerate(draft_lds, 1):
+            it += 1
+            finite = np.isfinite(ld)
+            accept = finite and log_u[taken - 1] < ld - cur_ld
+            if accept:
+                current, cur_ld = props[taken - 1], ld
+                accepted += 1
+            n_neg_inf += not finite
+            if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
+                samples[kept] = current
+                lds[kept] = cur_ld
+                kept += 1
+            if accept or not finite:
+                break
+        if taken < drafted or not finite:
+            rng.bit_generator.state = start
+            for d in draft_lds[:taken]:
+                rng.standard_normal(2)
+                if np.isfinite(d):
+                    rng.uniform()
+    return Chain(samples[:kept], lds[:kept], accepted / total, n_neg_inf)
 
 
 def mh_sample(X, y, net_template: NetworkHyper, prior: HyperPrior,
               config: MHConfig, init: Tuple[float, float],
-              noise_var: float = 0.1) -> Chain:
+              noise_var: float = NOISE_VAR) -> Chain:
     """Sample the hyper-posterior over (mu, sigma^2) by random-walk MH.
 
-    init is typically the MAP over a grid_eval surface.
+    init is typically the MAP over a grid_eval surface.  Each kernel call
+    scores the next PREFETCH proposals, with the chain of `random_walk_mh`
+    on `gp_log_posterior` in every bit.
     """
     if init[1] <= 0.0:
         raise ValueError("initial sigma^2 must be positive")
-    logp = gp_log_posterior(X, y, net_template, prior, noise_var)
-    return random_walk_mh(logp, init, config)
+    logps = _log_posteriors(X, y, net_template, prior, noise_var)
+    return _metropolis(logps, init, config, PREFETCH)
 
 
 def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
-                        noise_var: float = 0.1) -> MarginalPredictive:
+                        noise_var: float = NOISE_VAR) -> MarginalPredictive:
     """Predictive mixture over the chain's hyperparameter samples.
 
     Mixture mean averages the conditional means; the mixture variance is

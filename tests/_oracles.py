@@ -170,3 +170,35 @@ def bivariate_mc(f, s1, s2, rho, t1, t2, n_draws, rng):
     mean = total / n_draws
     var = total_sq / n_draws - mean * mean
     return mean, np.sqrt(max(var, 0.0) / n_draws)
+
+
+def random_walk_mh_oracle(log_density, init, proposal_cov, burn_in, thin,
+                          n_samples, seed):
+    """Random-walk Metropolis that scores one proposal per density call.
+
+    The proposal is current + chol(proposal_cov) @ z with z ~ N(0, I); the
+    uniform of the accept test is drawn only for a finite density.  Runs
+    burn_in + thin * n_samples steps and keeps every thin-th state after
+    burn-in.  Returns (samples, log densities, acceptance rate, number of
+    proposals with a non-finite density).
+    """
+    rng = np.random.default_rng(seed)
+    L = np.linalg.cholesky(proposal_cov)
+    current = np.asarray(init, dtype=float).copy()
+    cur_ld = float(log_density(current))
+    total = burn_in + thin * n_samples
+    samples, lds = [], []
+    accepted = 0
+    n_neg_inf = 0
+    for it in range(1, total + 1):
+        prop = current + L @ rng.standard_normal(2)
+        ld = float(log_density(prop))
+        n_neg_inf += not np.isfinite(ld)
+        if np.isfinite(ld) and np.log(rng.uniform()) < ld - cur_ld:
+            current = prop
+            cur_ld = ld
+            accepted += 1
+        if it > burn_in and (it - burn_in) % thin == 0:
+            samples.append(current)
+            lds.append(cur_ld)
+    return np.array(samples), np.array(lds), accepted / total, n_neg_inf

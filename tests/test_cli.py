@@ -75,6 +75,7 @@ def test_fit_marginal(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["chain"]["n_samples"] == 20
+    assert 0 <= report["chain"]["neg_inf_proposals"] <= 20 + 20 * 20
     assert 0.0 <= report["chain"]["acceptance_rate"] <= 1.0
     assert np.isfinite(report["test_mse"])
 

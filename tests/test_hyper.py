@@ -12,6 +12,8 @@ from mlpgp.hyper import (Chain, GridSpec, HyperPrior, MHConfig, grid_eval,
 from mlpgp.kernels import (LayerHyper, NetworkHyper, VanishedSignalError,
                            kernel_matrix)
 
+from _oracles import random_walk_mh_oracle
+
 TEMPLATE = NetworkHyper(0.0, 1, (LayerHyper(0.0, 1.0), LayerHyper(0.0, 1.0)), True)
 SMALL_GRID = GridSpec((-2.5, 1.0), (0.1, 8.0), 30)
 
@@ -211,6 +213,111 @@ def test_mh_sample_and_map():
     with pytest.raises(ValueError):
         mh_sample(ds.X_train, ds.y_train, TEMPLATE, HyperPrior(), cfg,
                   (0.0, -1.0))
+
+
+def _oracle_chain(log_density, init, config):
+    return random_walk_mh_oracle(log_density, init, hyper.PROPOSAL_COV,
+                                 config.burn_in, config.thin,
+                                 config.n_samples, config.seed)
+
+
+def _assert_same_chain(chain, ref):
+    samples, lds, rate, n_neg_inf = ref
+    assert np.array_equal(chain.samples, samples)
+    assert np.array_equal(chain.log_densities, lds)
+    assert chain.acceptance_rate == rate
+    assert chain.n_neg_inf == n_neg_inf and type(chain.n_neg_inf) is int
+
+
+def _unbatched_density(X, y, template, banned=lambda mu: False):
+    # the hyper-posterior at one point from one unbatched kernel_matrix call,
+    # -inf at sigma^2 <= 0 and, on top, wherever banned(mu)
+    def logp(theta):
+        mu, s2 = float(theta[0]), float(theta[1])
+        if s2 <= 0.0 or banned(mu):
+            return -np.inf
+        return _unbatched_target(X, y, template, HyperPrior(), 0.1, mu, s2)[0]
+    return logp
+
+
+def test_prefetched_chain_is_the_one_proposal_chain(monkeypatch):
+    # every PREFETCH gives the chain of one proposal per kernel call, bit for
+    # bit: samples, log densities, acceptance rate and -inf count
+    cfg = dict(burn_in=6, thin=4, n_samples=10)
+    n_neg_inf = 0
+    for ds in (gen_sine(1), gen_smooth_xor(0)):
+        for depth in (4, 8):
+            template = NetworkHyper(0.0, ds.input_dim,
+                                    (LayerHyper(0.0, 1.0),) * depth, True)
+            logp = _unbatched_density(ds.X_train, ds.y_train, template)
+            for seed in range(4):
+                config = MHConfig(**cfg, seed=seed)
+                ref = _oracle_chain(logp, (-0.5, 2.0), config)
+                n_neg_inf += ref[3]
+                for prefetch in (1, 3, 8):
+                    monkeypatch.setattr(hyper, "PREFETCH", prefetch)
+                    chain = mh_sample(ds.X_train, ds.y_train, template,
+                                      HyperPrior(), config, (-0.5, 2.0), 0.1)
+                    _assert_same_chain(chain, ref)
+    assert n_neg_inf > 0  # sigma^2 <= 0 proposals, never evaluated
+
+
+def test_prefetched_chain_replays_past_evaluated_neg_inf(monkeypatch):
+    # evaluated proposals in bands of mu are -inf (with sigma^2 > 0): the
+    # walk stops there mid-draft, draws no uniform for them, and must put
+    # the generator back to keep the one-proposal chain
+    ds = gen_smooth_xor(0)
+    template = NetworkHyper(0.0, 2, (LayerHyper(0.0, 1.0),) * 4, True)
+
+    def banned(mu):
+        return np.floor(4.0 * mu) % 3 == 0
+
+    stops = []
+    log_targets = hyper._log_targets
+
+    def banded(X, y, net_template, prior, noise_var, mu, sigma2):
+        values, jitters, vanished = log_targets(X, y, net_template, prior,
+                                                noise_var, mu, sigma2)
+        assert np.all(sigma2 > 0.0)
+        values[banned(mu)] = -np.inf
+        stops.extend(np.flatnonzero(banned(mu)[:-1]))
+        return values, jitters, vanished
+
+    monkeypatch.setattr(hyper, "_log_targets", banded)
+    logp = _unbatched_density(ds.X_train, ds.y_train, template, banned)
+    for seed in range(4):
+        config = MHConfig(burn_in=6, thin=4, n_samples=10, seed=seed)
+        ref = _oracle_chain(logp, (-0.2, 2.0), config)
+        for prefetch in (1, 3, 8):
+            monkeypatch.setattr(hyper, "PREFETCH", prefetch)
+            chain = mh_sample(ds.X_train, ds.y_train, template, HyperPrior(),
+                              config, (-0.2, 2.0), 0.1)
+            _assert_same_chain(chain, ref)
+    # evaluated -inf proposals sat before the last row of their draft
+    assert stops
+
+
+def test_mh_sample_scores_several_proposals_per_kernel_call(monkeypatch):
+    # the hyper-fit benchmark's chain: 220 steps at depth 8 on Smooth XOR
+    # from the grid MAP; one kernel call per evaluated proposal makes 209
+    # (221 less its 12 proposals with sigma^2 <= 0)
+    ds = gen_smooth_xor(0)
+    sub = LayerHyper(0.0, float(np.sqrt(2.0)))
+    template = NetworkHyper(0.0, 2, (sub,) * 7 + (LayerHyper(0.0, 1.0),),
+                            True)
+    surface = grid_eval(ds.X_train, ds.y_train, template,
+                        GridSpec(resolution=24), "log-posterior", 0.1)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return kernel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(hyper, "kernel_matrix", counting)
+    config = MHConfig(burn_in=20, thin=10, n_samples=20, seed=0)
+    mh_sample(ds.X_train, ds.y_train, template, HyperPrior(), config,
+              surface.argmax[:2], 0.1)
+    assert 0 < len(calls) <= 110
 
 
 def test_marginal_predictive_point_mass_identity():
