@@ -266,17 +266,19 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
                                              noise_var, mu, sig2)
     values = values.reshape(mu_axis.size, sig2_axis.size)
     n_failed = int(np.count_nonzero(values == -np.inf))
+    n_vanished = int(np.count_nonzero(vanished))
     jitter_events = int(np.count_nonzero(jitters > 0.0))
     if not np.any(np.isfinite(values)):
-        raise FactorizationError("every grid cell failed to factorise")
+        raise FactorizationError(
+            f"every grid cell is -inf ({n_vanished} signal vanished, "
+            f"{n_failed - n_vanished} not factorisable or non-finite)")
     i0 = np.argmin(np.abs(mu_axis))
     argmax, argmax_mu0 = (
         (float(mu_axis[i]), float(sig2_axis[j]), float(values[i, j]))
         for i, j in (np.unravel_index(np.argmax(values), values.shape),
                      (i0, np.argmax(values[i0]))))
     return GridResult(mu_axis, sig2_axis, values, target, argmax, argmax_mu0,
-                      n_failed, jitter_events,
-                      int(np.count_nonzero(vanished)))
+                      n_failed, jitter_events, n_vanished)
 
 
 def random_walk_mh(log_density: Callable, init, config: MHConfig) -> Chain:
@@ -379,8 +381,8 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     mu, sigma2 = chain.samples.T
-    means = []
-    variances = []
+    means, variances = [], []
+    n_vanished = 0
     entries = max(Xstar.shape[0], X.shape[0]) * X.shape[0]
     for chunk in _batch_slices(len(chain), entries):
         net = substitute_hyper(net_template, mu[chunk, None, None],
@@ -388,7 +390,9 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
         K_xx, vanished = kernel_matrix(X, X, net)
         K_sx, vanished_sx = kernel_matrix(Xstar, X, net)
         k_ss, vanished_ss = kernel_diag(Xstar, net)
-        for i in np.flatnonzero(~(vanished | vanished_sx | vanished_ss)):
+        vanished |= vanished_sx | vanished_ss
+        n_vanished += int(np.count_nonzero(vanished))
+        for i in np.flatnonzero(~vanished):
             try:
                 pp = _predict_from_grams(K_xx[i], K_sx[i], k_ss[i], y,
                                          noise_var)
@@ -398,7 +402,9 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
             variances.append(pp.var)
     n_skipped = len(chain) - len(means)
     if not means:
-        raise FactorizationError("every chain sample failed to factorise")
+        raise FactorizationError(
+            f"every chain sample was skipped ({n_vanished} signal vanished, "
+            f"{n_skipped - n_vanished} not factorisable)")
     if len(means) == 1:
         return MarginalPredictive(means[0], variances[0], n_skipped)
     means = np.asarray(means)

@@ -7,20 +7,20 @@ maps take a pre-activation pair (G1, G2) with std-devs s1, s2, correlation
 rho and means t1, t2 as plain broadcast-compatible floats or arrays, and
 check nothing: `LayerHyper`, `NetworkHyper` and the recursion's zero-norm
 and vanished-signal checks keep them on their domain.  They trust rho too:
-each caller clips it into [-1, 1] once, where it forms it.  Broadcasting is
-what makes `kernel_matrix` cheap: the whole Gram recursion runs on (N, 1) /
-(1, M) / (N, M) shaped arrays, or (G, N, M) ones for a batch of G nets
-(`LayerHyper` values of shape (G, 1, 1)), whose slices `bvn_cdf`'s
-quadrature sums apart.  `kernel_diag` runs it on (N, 1) arrays alone, one
-pair (x_i, x_i) per row, or (G, N, 1) ones for a batch.
+each caller clips it into [-1, 1] once, where it forms it.
 
 The recursion is one loop in `_recurse` over the hidden layers.  It carries
-five arrays, the unnormalised post-activation second moments k_xx, k_yy,
-k_xy and the post-activation means m_x, m_y.  Each hidden layer builds its
-pre-activation from them with s = sigma sqrt(k), rho = k_xy / sqrt(k_xx k_yy)
-and means mu m, and `_moment_step` maps that back to the next five arrays.
-With non-zero means the kernel is not a function of the input angle alone,
-so normalised angles are never stored internally.
+three arrays: each point's own post-activation second moment k and mean m,
+of shape (P, 1), and the pairs' second moments k_xy, of shape (N, M), or
+(N, 1) for `kernel_diag`'s pairs (x_i, x_i).  The points are X's rows, then
+Y's, or X's alone when Y equals X or for `kernel_diag`.  A pair reads its
+points through (N, 1) and (1, M) views, so each layer maps every point's
+moments once and every pair's once.  A hidden layer's pre-activation has
+s = sigma sqrt(k), means mu m and, for pair (i, j), rho = k_xy /
+sqrt(k_i k_j).  A batch of G nets (`LayerHyper` values of shape (G, 1, 1))
+puts G in front of every shape; `bvn_cdf` sums its slices apart.  With
+non-zero means the kernel is not a function of the input angle alone, so
+normalised angles are never stored internally.
 """
 
 from dataclasses import dataclass
@@ -226,47 +226,44 @@ def lrelu_mean(mu_t, sigma_t, a: float) -> ArrayLike:
 
 
 def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
-    # y None gives the diagonal pairs (x_i, x_i) as (N, 1) arrays, with rho
-    # from the same gemm as the full Gram's
+    # each point's (s, t) as (..., P, 1) arrays, the pairs' rho, and the
+    # indices that view a per-point array as the pairs' x and y operands.  y
+    # None gives the diagonal pairs (x_i, x_i), with rho from the same gemm as
+    # the full Gram's; a y equal to x by value is x; else x's rows, then y's
     x = np.atleast_2d(np.asarray(x, dtype=float))
     ys = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != n0 or ys.shape[1] != n0:
         raise ValueError(f"inputs must have length n0 = {n0}")
-    nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(ys, axis=1)
-    if np.any(nx == 0.0) or np.any(ny == 0.0):
+    if np.array_equal(x, ys):
+        ys = x
+    pts = x if ys is x else np.concatenate((x, ys))
+    r = np.linalg.norm(pts, axis=1)[:, None]
+    if np.any(r == 0.0):
         raise DegenerateInputError("zero-norm input has no first-layer signal")
-    sq = np.sqrt(n0)
-    s1 = (layer.sigma / sq) * nx[:, None]
-    t1 = layer.mu * np.mean(x, axis=1)[:, None]
-    if y is None:
-        rho = np.diag(x @ x.T)[:, None] / (nx * nx)[:, None]
-        return s1, s1, np.clip(rho, -1.0, 1.0), t1, t1
-    s2 = (layer.sigma / sq) * ny[None, :]
-    rho = np.clip((x @ ys.T) / (nx[:, None] * ny[None, :]), -1.0, 1.0)
-    t2 = layer.mu * np.mean(ys, axis=1)[None, :]
-    return s1, s2, rho, t1, t2
+    rows = np.s_[..., :len(x), :]
+    cols = rows if y is None else np.s_[..., None, len(pts) - len(ys):, 0]
+    xy = np.diag(x @ x.T)[:, None] if y is None else x @ ys.T
+    s = (layer.sigma / np.sqrt(n0)) * r
+    t = layer.mu * np.mean(pts, axis=1)[:, None]
+    return s, t, np.clip(xy / (r[rows] * r[cols]), -1.0, 1.0), rows, cols
 
 
-def _moment_step(s1, s2, rho, t1, t2, a: float):
-    # LReLU moment maps of the (x, x), (y, y) and (x, y) pre-activation
-    # pairs, then of the two means: the next (k_xx, k_yy, k_xy, m_x, m_y)
-    return (lrelu_kernel(s1, s1, 1.0, t1, t1, a),
-            lrelu_kernel(s2, s2, 1.0, t2, t2, a),
-            lrelu_kernel(s1, s2, rho, t1, t2, a),
-            lrelu_mean(t1, s1, a),
-            lrelu_mean(t2, s2, a))
+def _moment_step(s, t, rho, rows, cols, a: float):
+    # LReLU moment maps of each point's own pre-activation (rho = 1) and of
+    # its mean, then of the pairs: the next (k, m, k_xy)
+    return (lrelu_kernel(s, s, 1.0, t, t, a), lrelu_mean(t, s, a),
+            lrelu_kernel(s[rows], s[cols], rho, t[rows], t[cols], a))
 
 
-def _sqrt_product(k_xx, k_yy):
-    # the denominator of rho, sqrt(k_xx k_yy); sqrt(k_xx) sqrt(k_yy) only where
-    # the product underflows (both diagonals below ~1.5e-154), so that every
+def _sqrt_product(k_i, k_j):
+    # the denominator of rho, sqrt(k_i k_j); sqrt(k_i) sqrt(k_j) only where the
+    # product underflows (both points' moments below ~1.5e-154), so that every
     # other entry keeps the bits of the plain product
-    prod = k_xx * k_yy
+    prod = k_i * k_j
     low = prod < np.finfo(float).tiny
     np.sqrt(prod, out=prod)
     if np.any(low):
-        prod[low] = (np.sqrt(k_xx) * np.sqrt(k_yy))[low]
+        prod[low] = (np.sqrt(k_i) * np.sqrt(k_j))[low]
     return prod
 
 
@@ -275,39 +272,39 @@ def _recurse(x, y, net: NetworkHyper):
     # second moment, NaN in a batch's vanished slices, and the (G,) vanished
     # mask of a batch (0-d, and raising instead, if unbatched)
     layers = net.layers
-    depth = len(layers)
     vanished = np.zeros(np.broadcast_shapes(*(
         np.shape(v) for lay in layers for v in (lay.mu, lay.sigma)))[:1], bool)
-    if net.final_layer_linear and depth == 1:
-        return linear_kernel(*_first_layer_preactivation(
-            x, y, layers[0], net.input_dim)), vanished
-    # the first-layer pre-activation is not kept: its (N, M) rho would stay
-    # alive through every hidden layer
-    k_xx, k_yy, k_xy, m_x, m_y = _moment_step(
-        *_first_layer_preactivation(x, y, layers[0], net.input_dim),
-        net.slope_a)
-    last_hidden = depth - 1 if net.final_layer_linear else depth
+    s, t, rho, rows, cols = _first_layer_preactivation(
+        x, y, layers[0], net.input_dim)
+    last_hidden = len(layers) - 1 if net.final_layer_linear else len(layers)
+    if last_hidden == 0:
+        k_xy = linear_kernel(s[rows], s[cols], rho, t[rows], t[cols])
+    else:
+        k, m, k_xy = _moment_step(s, t, rho, rows, cols, net.slope_a)
+        # the first-layer rho would stay alive through every hidden layer
+        del rho
     for l in range(2, last_hidden + 1):
-        low = np.any((k_xx < VANISHED_TOL) | (k_yy < VANISHED_TOL), (-2, -1))
+        low = np.any(k < VANISHED_TOL, (-2, -1))
         if np.any(low):
             if vanished.ndim == 0:
-                raise VanishedSignalError(l, min(float(np.min(k_xx)),
-                                                 float(np.min(k_yy))))
+                raise VanishedSignalError(l, float(np.min(k)))
             # a vanished slice goes on from a unit state: no warnings
             vanished |= low
-            k_xx, k_yy, k_xy, m_x, m_y = (
-                np.where(vanished[:, None, None], 1.0, v)
-                for v in (k_xx, k_yy, k_xy, m_x, m_y))
+            k, m, k_xy = (np.where(vanished[:, None, None], 1.0, v)
+                          for v in (k, m, k_xy))
         layer = layers[l - 1]
-        k_xx, k_yy, k_xy, m_x, m_y = _moment_step(
-            layer.sigma * np.sqrt(k_xx), layer.sigma * np.sqrt(k_yy),
-            np.clip(k_xy / _sqrt_product(k_xx, k_yy), -1.0, 1.0),
-            layer.mu * m_x, layer.mu * m_y, net.slope_a)
-    if net.final_layer_linear:
+        k, m, k_xy = _moment_step(
+            layer.sigma * np.sqrt(k), layer.mu * m,
+            np.clip(k_xy / _sqrt_product(k[rows], k[cols]), -1.0, 1.0),
+            rows, cols, net.slope_a)
+    if last_hidden and net.final_layer_linear:  # a linear layer on LReLU ones
         out = layers[-1]
-        k_xy = out.sigma ** 2 * k_xy + out.mu ** 2 * m_x * m_y
+        k_xy = out.sigma ** 2 * k_xy + out.mu ** 2 * m[rows] * m[cols]
     if vanished.ndim:
         k_xy[vanished] = np.nan
+    if y is not None and k_xy.shape[-1] == s.shape[-2]:
+        # Y is X (its M points are all P points): K is symmetric in every bit
+        k_xy = 0.5 * (k_xy + np.swapaxes(k_xy, -1, -2))
     return k_xy, vanished
 
 
@@ -327,20 +324,17 @@ def kernel_matrix(X, Y, net: NetworkHyper) -> np.ndarray:
     """Gram matrix with entry (i, j) = deep_kernel(X[i], Y[j]).
 
     The recursion runs vectorised over all pairs at once; output values do
-    not depend on evaluation order.  A batch of G nets gives (K, vanished):
-    the (G, N, M) stack of Grams, each slice bit-identical to its own net's,
-    and the (G,) mask of slices whose signal vanished; they hold NaN.
+    not depend on evaluation order.  A Y equal to X by value is X, and K is
+    then symmetric in every bit.  A batch of G nets gives (K, vanished): the
+    (G, N, M) stack of Grams, each slice bit-identical to its own net's, and
+    the (G,) mask of slices whose signal vanished; they hold NaN.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     K, vanished = _recurse(X, Y, net)
-    if X.shape == Y.shape and np.array_equal(X, Y):
-        K = 0.5 * (K + np.swapaxes(K, -1, -2))
     return (K, vanished) if vanished.ndim else K
 
 
 def kernel_diag(X, net: NetworkHyper) -> np.ndarray:
-    """k(X[i], X[i]) for each row, at the cost of N entries.
+    """k(X[i], X[i]) for each row, at the cost of N points and N pairs.
 
     It has the bits of np.diag(kernel_matrix(X, X, net)) wherever every
     diagonal pair stays on the colinear branch of the absolute moment (see

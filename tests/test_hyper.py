@@ -82,6 +82,39 @@ def test_grid_eval_failed_cells_become_neg_inf():
     assert np.isfinite(res.argmax[2])
 
 
+def test_all_failed_errors_name_both_counts(monkeypatch):
+    # at depth 16 the signal of every (mu, sigma^2) below vanishes; where it
+    # survives, factorisation is made to fail.  When nothing is left, the
+    # error says how many cells or samples failed for which reason
+    ds = gen_sine(1)
+    deep = NetworkHyper(0.0, 1, (LayerHyper(0.0, 1.0),) * 16, True)
+    vanishing = np.array([[-2.5, 1e-3], [-2.4, 2e-3]])
+    with pytest.raises(FactorizationError, match=r"\(4 signal vanished, 0 "
+                       r"not factorisable or non-finite\)"):
+        grid_eval(ds.X_train, ds.y_train, deep,
+                  GridSpec((-2.5, -2.4), (1e-3, 2e-3), 2), "log-ml", 0.1)
+    with pytest.raises(FactorizationError,
+                       match=r"\(2 signal vanished, 0 not factorisable\)"):
+        marginal_predictive(ds.X_test, ds.X_train, ds.y_train, deep,
+                            Chain(vanishing, np.zeros(2), 0.5), 0.1)
+
+    def fail(*args):
+        raise FactorizationError("not positive definite")
+
+    monkeypatch.setattr(hyper, "_lml_from_gram", fail)
+    monkeypatch.setattr(hyper, "_predict_from_grams", fail)
+    with pytest.raises(FactorizationError, match=r"\(1 signal vanished, 3 "
+                       r"not factorisable or non-finite\)"):
+        grid_eval(ds.X_train, ds.y_train, deep,
+                  GridSpec((-2.5, 0.0), (1e-3, 2.0), 2), "log-ml", 0.1)
+    chain = Chain(np.array([vanishing[0], [0.0, 2.0], [-0.4, 1.2]]),
+                  np.zeros(3), 0.5)
+    with pytest.raises(FactorizationError,
+                       match=r"\(1 signal vanished, 2 not factorisable\)"):
+        marginal_predictive(ds.X_test, ds.X_train, ds.y_train, deep, chain,
+                            0.1)
+
+
 def _unbatched_target(X, y, template, prior, noise_var, mu, s2):
     # (value, jitter, vanished) at one point from one unbatched kernel_matrix
     # call

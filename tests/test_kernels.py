@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mlpgp.kernels import (VANISHED_TOL, DegenerateInputError, LayerHyper,
-                           NetworkHyper, VanishedSignalError, _moment_step,
+                           NetworkHyper, VanishedSignalError,
+                           _first_layer_preactivation, _moment_step,
                            abs_kernel, arccos_reference, constant_hyper,
                            cross_term, deep_kernel, folded_mean,
                            kernel_diag, kernel_matrix, linear_kernel,
@@ -127,6 +128,17 @@ def test_monte_carlo_agreement_single_layer_moments():
             assert abs(func(s1, s2, rho, t1, t2) - est) < 4.0 * se + 1e-12
 
 
+def _pair_step(s1, s2, rho, t1, t2, a):
+    # _moment_step on two points and the one pair between them, viewed as
+    # _first_layer_preactivation views a row of X and a row of Y:
+    # (k_xx, k_yy, k_xy, m_x, m_y)
+    *_, rows, cols = _first_layer_preactivation([1.0], [2.0],
+                                                LayerHyper(0.0, 1.0), 1)
+    k, m, k_xy = _moment_step(np.array([[s1], [s2]]), np.array([[t1], [t2]]),
+                              np.array([[rho]]), rows, cols, a)
+    return k[0, 0], k[1, 0], k_xy[0, 0], m[0, 0], m[1, 0]
+
+
 def test_first_layer_preactivation_canonical_values():
     # one LReLU layer whose pre-activation is standard normal for unit inputs
     net = NetworkHyper(0.0, 2, (LayerHyper(0.0, SQRT2),), False)
@@ -134,7 +146,7 @@ def test_first_layer_preactivation_canonical_values():
     diag = deep_kernel(x, x, net)
     assert abs(diag - 0.5) < 1e-14
     assert diag == deep_kernel(y, y, net)
-    k_xx, k_yy, k_xy, m_x, m_y = _moment_step(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    k_xx, k_yy, k_xy, m_x, m_y = _pair_step(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     assert k_xx == k_yy == k_xy == diag
     assert m_x == m_y
     assert abs(m_x - 1 / np.sqrt(2 * np.pi)) < 1e-15
@@ -166,12 +178,12 @@ def test_first_layer_preactivation_degenerate_input():
 
 def test_moment_step_relu_unit():
     # hidden layer (mu, sigma) = (0, sqrt2) on the state (1, 1, 0, 0, 0)
-    k_xx, _, k_xy, m_x, _ = _moment_step(SQRT2, SQRT2, 0.0, 0.0, 0.0, 0.0)
+    k_xx, _, k_xy, m_x, _ = _pair_step(SQRT2, SQRT2, 0.0, 0.0, 0.0, 0.0)
     assert abs(k_xx - 1.0) < 1e-14
     assert abs(k_xy - 1 / np.pi) < 1e-14
     assert abs(m_x - 1 / np.sqrt(np.pi)) < 1e-14
     # rho = 1 is a fixed point of the normalised recursion
-    k_xx, _, k_xy, _, _ = _moment_step(SQRT2, SQRT2, 1.0, 0.0, 0.0, 0.0)
+    k_xx, _, k_xy, _, _ = _pair_step(SQRT2, SQRT2, 1.0, 0.0, 0.0, 0.0)
     assert abs(k_xy - k_xx) < 1e-14
 
 
@@ -206,7 +218,7 @@ def test_moment_step_preserves_cauchy_schwarz():
         mx, my = rng.normal(0, 1, 2)
         layer = LayerHyper(rng.normal(0, 1), rng.uniform(0.3, 2.0))
         a = rng.uniform(-0.9, 0.9)
-        out_xx, out_yy, out_xy, _, _ = _moment_step(
+        out_xx, out_yy, out_xy, _, _ = _pair_step(
             layer.sigma * np.sqrt(kxx), layer.sigma * np.sqrt(kyy),
             np.clip(kxy / np.sqrt(kxx * kyy), -1.0, 1.0),
             layer.mu * mx, layer.mu * my, a)
@@ -532,6 +544,55 @@ def test_moment_maps_receive_clipped_rho(monkeypatch):
                     except VanishedSignalError:
                         pass
     assert n_calls > 0
+
+
+def test_each_layer_maps_every_point_and_pair_once(monkeypatch):
+    # a hidden LReLU layer makes one lrelu_kernel call for the points' own
+    # second moments, one for the pairs' and one lrelu_mean call, whether Y
+    # is X, Y is another set or only the diagonal pairs are asked for
+    calls = {"lrelu_kernel": 0, "lrelu_mean": 0}
+    for name in calls:
+        def counted(*args, real=getattr(kernels, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    ds = gen_smooth_xor(0)
+    X, Xs = ds.X_train, ds.X_test
+    depth = 8
+    mu_b, s2_b = (g.ravel() for g in np.meshgrid(np.linspace(-1.5, 0.5, 3),
+                                                 np.linspace(1.0, 4.0, 3)))
+    batched = NetworkHyper(0.0, 2, (LayerHyper(_batch(mu_b),
+                                               _batch(np.sqrt(s2_b))),)
+                           * (depth - 1) + (LayerHyper(0.0, 1.0),))
+    for net in _grid_nets(depth, 2, [-0.4], [2.1]) + [batched]:
+        for evaluate in (lambda: kernel_matrix(X, X, net),
+                         lambda: kernel_matrix(Xs, X, net),
+                         lambda: kernel_diag(Xs, net)):
+            calls.update(lrelu_kernel=0, lrelu_mean=0)
+            evaluate()
+            assert calls == {"lrelu_kernel": 2 * (depth - 1),
+                             "lrelu_mean": depth - 1}
+
+
+def test_y_equal_to_x_is_decided_by_value():
+    # a copy of X is X: kernel_matrix(X, X.copy()) has the bits of
+    # kernel_matrix(X, X) and is symmetric in every bit.  60 points in
+    # dimension 3: there the syrk of X @ X.T and the gemm of X @ X.copy().T
+    # round differently
+    X = np.random.default_rng(6).standard_normal((60, 3))
+    single, batch = (NetworkHyper(0.2, 3, (LayerHyper(mu, np.sqrt(s2)),) * 5
+                                  + (LayerHyper(0.0, 1.0),))
+                     for mu, s2 in ((-0.4, 2.1), (_batch([-0.4, 0.3]),
+                                                  _batch([2.1, 1.2]))))
+    K = kernel_matrix(X, X.copy(), single)
+    assert np.array_equal(K, kernel_matrix(X, X, single))
+    assert np.array_equal(K, K.T)
+    (K, vanished), (want, _) = (kernel_matrix(X, Y, batch)
+                                for Y in (X.copy(), X))
+    assert not vanished.any()
+    assert np.array_equal(K, want)
+    assert np.array_equal(K, np.swapaxes(K, -1, -2))
 
 
 def test_single_layer_bias_relu_diagonal():
