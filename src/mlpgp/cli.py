@@ -19,10 +19,12 @@ import numpy as np
 from . import data as datamod
 from .finite_net import IIDGaussian, NetworkShape, activations, get_scheme, \
     sample_weights
-from .gp import GPModel, posterior_predictive, sample_prior, circle_traversal
+from .gp import FactorizationError, GPModel, posterior_predictive, \
+    sample_prior, circle_traversal
 from .hyper import GridSpec, HyperPrior, MHConfig, grid_eval, \
     marginal_predictive, mh_sample, substitute_hyper
-from .kernels import NetworkHyper, constant_hyper, kernel_matrix
+from .kernels import NetworkHyper, VanishedSignalError, constant_hyper, \
+    kernel_matrix
 from .mmd import convergence_experiment
 
 __all__ = ["main"]
@@ -383,7 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FactorizationError, VanishedSignalError) as exc:
+        print(f"mlpgp {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

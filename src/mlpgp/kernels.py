@@ -18,9 +18,10 @@ points through (N, 1) and (1, M) views, so each layer maps every point's
 moments once and every pair's once.  A hidden layer's pre-activation has
 s = sigma sqrt(k), means mu m and, for pair (i, j), rho = k_xy /
 sqrt(k_i k_j).  A batch of G nets (`LayerHyper` values of shape (G, 1, 1))
-puts G in front of every shape; `bvn_cdf` sums its slices apart.  With
-non-zero means the kernel is not a function of the input angle alone, so
-normalised angles are never stored internally.
+puts G in front of every shape; `bvn_cdf` cuts its quadrature blocks so that
+each slice keeps the bits of its own call.  With non-zero means the kernel is
+not a function of the input angle alone, so normalised angles are never stored
+internally.
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,9 @@ All functions accept scalars or numpy arrays, broadcast elementwise and
 return numpy values (a 0-d array or numpy scalar for scalar input).  The
 bivariate CDF follows the Drezner-Wesolowsky/Genz algorithm: Gauss-Legendre
 quadrature on the single-integral form, with the usual change of variable for
-correlations beyond 0.925.
+correlations beyond 0.925.  Its quadrature values are formed and summed
+`QUAD_ROWS` rows at a time, so memory stays a few n-length arrays, and each
+row has the bits of one gemv per batch slice whatever the block size.
 """
 
 import numpy as np
@@ -41,6 +43,10 @@ _GL20_W = np.array([
 _GL_NODES = np.concatenate([1.0 - _GL20_X, 1.0 + _GL20_X])
 _GL_WEIGHTS = np.concatenate([_GL20_W, _GL20_W])
 
+# rows of quadrature values formed and summed at a time (a multiple of 4);
+# at 20 nodes a block's temporaries stay within a 2 MB cache
+QUAD_ROWS = 2 ** 12
+
 
 class DegenerateCorrelationError(ValueError):
     """Raised where |rho| = 1 makes a density undefined."""
@@ -75,14 +81,30 @@ def bvn_pdf(h, k, rho):
     return np.exp(-quad) * _INV_2PI / np.sqrt(omr2)
 
 
-def _gl_sum(vals, slices):
-    # one gemv per batch slice: OpenBLAS gemv computes rows in blocks of 4 and
-    # rounds tail rows differently, so a row's bits depend on its place in the
-    # call (Owen's T, with no quadrature, would delete this)
-    if slices is None or slices[0] == slices[-1]:
-        return vals @ _GL_WEIGHTS
-    cuts = np.flatnonzero(np.diff(slices)) + 1
-    return np.concatenate([p @ _GL_WEIGHTS for p in np.split(vals, cuts)])
+def _gl_sum(integrand, n, slices):
+    # Gauss-Legendre sums of n rows, each block of about QUAD_ROWS rows formed
+    # by integrand(block) and summed by gemv while it is in cache.  OpenBLAS
+    # gemv rounds a row by its place in the call's 4-row groups, and numpy
+    # sends a 1-row product to dot, so a batch slice is cut only at multiples
+    # of 4 from its start and never one row before its end: every row keeps
+    # the bits of one gemv per slice (Owen's T, with no quadrature, would
+    # delete this).
+    starts = [0] if slices is None else \
+        [0, *(np.flatnonzero(np.diff(slices)) + 1).tolist()]
+    cuts = []
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        cuts += [lo, *range(lo + QUAD_ROWS, hi - 1, QUAD_ROWS)]
+    cuts.append(n)
+    sums, i = [], 0
+    while i < len(cuts) - 1:
+        j = i + 1
+        while j + 1 < len(cuts) and cuts[j + 1] - cuts[i] <= QUAD_ROWS:
+            j += 1
+        vals = integrand(slice(cuts[i], cuts[j]))
+        sums += [vals[lo - cuts[i]:hi - cuts[i]] @ _GL_WEIGHTS
+                 for lo, hi in zip(cuts[i:j], cuts[i + 1:j + 1])]
+        i = j
+    return np.concatenate(sums)
 
 
 def _bvn_cdf_moderate(h, k, rho, slices):
@@ -90,9 +112,12 @@ def _bvn_cdf_moderate(h, k, rho, slices):
     hk = h * k
     hs = 0.5 * (h * h + k * k)
     asr = 0.5 * np.arcsin(rho)
-    sn = np.sin(asr[:, None] * _GL_NODES[None, :])
-    expo = (sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)
-    total = _gl_sum(np.exp(expo), slices)
+
+    def integrand(rows):
+        sn = np.sin(asr[rows, None] * _GL_NODES[None, :])
+        return np.exp((sn * hk[rows, None] - hs[rows, None]) / (1.0 - sn * sn))
+
+    total = _gl_sum(integrand, h.size, slices)
     return total * asr * _INV_2PI + std_normal_cdf(h) * std_normal_cdf(k)
 
 
@@ -122,13 +147,16 @@ def _bvn_cdf_strong(h, k, rho, slices):
                    * (1.0 - c * bs / 3.0 + c * d * bs * bs / 15.0))
 
     # Gauss-Legendre on the smooth residual over [0, a]
-    xs = (0.5 * a[:, None] * _GL_NODES[None, :]) ** 2
-    rs = np.sqrt(1.0 - xs)
-    asr_q = -0.5 * (bs[:, None] / xs + hk[:, None])
-    smooth = (np.exp(-hk[:, None] * xs / (2.0 * (1.0 + rs) ** 2)) / rs
-              - (1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)))
-    vals = np.where(asr_q > -100.0, np.exp(np.maximum(asr_q, -745.0)) * smooth, 0.0)
-    tail = tail + 0.5 * a * _gl_sum(vals, slices)
+    def integrand(rows):
+        xs = (0.5 * a[rows, None] * _GL_NODES[None, :]) ** 2
+        rs = np.sqrt(1.0 - xs)
+        asr_q = -0.5 * (bs[rows, None] / xs + hk[rows, None])
+        smooth = (np.exp(-hk[rows, None] * xs / (2.0 * (1.0 + rs) ** 2)) / rs
+                  - (1.0 + c[rows, None] * xs * (1.0 + d[rows, None] * xs)))
+        return np.where(asr_q > -100.0,
+                        np.exp(np.maximum(asr_q, -745.0)) * smooth, 0.0)
+
+    tail = tail + 0.5 * a * _gl_sum(integrand, h.size, slices)
 
     # Phi2(h, k; rho) = Phi(min(h, k)) - tail/2pi            for rho > 0
     # Phi2(h, k; rho) = Phi(h) - Phi2(h, -k; -rho)            for rho < 0

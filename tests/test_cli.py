@@ -117,6 +117,18 @@ def test_grid_names_why_cells_failed(tmp_path, capsys):
            "factorisable or non-finite)" in capsys.readouterr().err
 
 
+def test_failed_run_is_a_one_line_error(tmp_path, capsys):
+    # every cell of this grid vanishes, so grid_eval raises FactorizationError;
+    # main reports it on one line with exit 1, not as a traceback
+    rc = main(["grid", "--dataset", "sine", "--depth", "16",
+               "--grid=-2.5:-2.4:0.001:0.002:2", "--seed", "0",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "mlpgp grid: error: every grid cell is -inf (4 signal " \
+                  "vanished, 0 not factorisable or non-finite)\n"
+
+
 def test_mh_chain_output(tmp_path):
     out = tmp_path / "chain.csv"
     rc = main(["mh", "--dataset", "sine", "--depth", "2",

@@ -12,8 +12,9 @@ from mlpgp.kernels import (VANISHED_TOL, DegenerateInputError, LayerHyper,
                            lrelu_kernel,
                            lrelu_mean, single_layer_kernel_with_bias)
 
-from mlpgp import kernels
+from mlpgp import kernels, special
 from mlpgp.data import gen_sine, gen_smooth_xor
+from mlpgp.gp import circle_traversal
 
 from _oracles import bivariate_mc, bivariate_moment_oracle, leaky_relu, \
     univariate_expect, weightspace_kernel_mc
@@ -425,6 +426,28 @@ def test_kernel_matrix_batch_equals_slices():
 
     _assert_batch_matches(X, X, zero_mean(_batch(sigmas)),
                           [zero_mean(s) for s in sigmas])
+
+
+def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
+    # a 150-point depth-8 ridge Gram sends about 22,000 rows per layer to
+    # bvn_cdf, several blocks at the default size; the Grams of a batched
+    # call and of unbatched calls keep their bits at every block size
+    X = circle_traversal(10, 150, 0)
+    mus, sigmas = [-1.05, -0.5], np.sqrt([3.06, 2.0])
+
+    def ridge(mu, sigma):
+        return NetworkHyper(0.0, 10, (LayerHyper(mu, sigma),) * 7
+                            + (LayerHyper(0.0, 1.0),))
+
+    nets = [ridge(m, s) for m, s in zip(mus, sigmas)]
+    batched = ridge(_batch(mus), _batch(sigmas))
+    want = _per_slice(X, X, nets)
+    for rows in (4, 8, 12, special.QUAD_ROWS):
+        monkeypatch.setattr(special, "QUAD_ROWS", rows)
+        K, vanished = kernel_matrix(X, X, batched)
+        assert not vanished.any()
+        for grams in (K, _per_slice(X, X, nets)):
+            assert all(np.array_equal(g, w) for g, w in zip(grams, want))
 
 
 def test_kernel_matrix_batch_marks_vanished_slice():

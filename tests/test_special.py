@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mlpgp import special
 from mlpgp.special import (DegenerateCorrelationError, bvn_cdf, bvn_pdf,
                            std_normal_cdf, std_normal_pdf)
 
@@ -94,3 +97,67 @@ def test_bvn_cdf_vectorized():
     out = bvn_cdf(h, 0.3, np.array([0.0, 0.95, -1.0]))
     assert out.shape == (3,)
     assert abs(out[0] - std_normal_cdf(0.0) * std_normal_cdf(0.3)) < 1e-15
+
+
+def _block_case():
+    # slices of 1, 2 and 5 rows, one of QUAD_ROWS + 1 and one longer than
+    # 2 QUAD_ROWS, in an order that starts slices off the 4-row grid.  At
+    # 12,302 rows one gemv has the same bits under 1 and 2 BLAS threads, so
+    # one gemv per slice is a reference that does not depend on them.
+    q = special.QUAD_ROWS
+    lens = [q + 1, 1, 2 * q + 5, 2, 5]
+    return np.repeat(np.arange(len(lens)), lens), (4, 8, 12, q)
+
+
+def test_gl_sum_blocks_keep_the_bits_of_one_gemv_per_slice(monkeypatch):
+    # gemv rounds a row by its place in the call's 4-row groups, and a 1-row
+    # product goes to dot, so the blocks may cut a slice only at multiples of
+    # 4 from its start and never one row before its end
+    slices, sizes = _block_case()
+    vals = np.exp(np.random.default_rng(2).normal(size=(slices.size, 20)))
+    cuts = np.flatnonzero(np.diff(slices)) + 1
+    want = (np.concatenate([v @ special._GL_WEIGHTS
+                            for v in np.split(vals, cuts)]),
+            vals @ special._GL_WEIGHTS)
+    for rows in sizes:
+        monkeypatch.setattr(special, "QUAD_ROWS", rows)
+        got = (special._gl_sum(vals.__getitem__, slices.size, slices),
+               special._gl_sum(vals.__getitem__, slices.size, None))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["moderate", "strong"])
+def test_bvn_cdf_blocks_keep_the_bits_of_one_gemv_per_slice(monkeypatch,
+                                                             strong):
+    slices, sizes = _block_case()
+    rng = np.random.default_rng(3)
+    h, k = rng.normal(scale=2.0, size=(2, slices.size))
+    if strong:
+        rho = rng.uniform(0.93, 0.999, slices.size) \
+            * rng.choice([-1.0, 1.0], slices.size)
+    else:
+        rho = rng.uniform(-0.92, 0.92, slices.size)
+
+    def evaluate(rows):
+        monkeypatch.setattr(special, "QUAD_ROWS", rows)
+        return bvn_cdf(h, k, rho), bvn_cdf(h, k, rho, _slices=slices)
+
+    want = evaluate(2 ** 20)
+    for rows in sizes:
+        for got, w in zip(evaluate(rows), want):
+            assert np.array_equal(got, w)
+
+
+def test_bvn_cdf_memory_stays_bounded():
+    # the quadrature values are formed a block at a time, so the peak is a few
+    # n-length arrays (1.6 MB each), not the (n, 20) arrays of 32 MB each
+    rng = np.random.default_rng(0)
+    h, k = rng.normal(scale=2.0, size=(2, 200_000))
+    rho = rng.uniform(-0.999, 0.999, 200_000)
+    tracemalloc.start()
+    try:
+        bvn_cdf(h, k, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
