@@ -232,7 +232,7 @@ def cmd_grid(args) -> int:
     out = Path(args.out)
     _write_csv(out, header, rows)
     meta = {
-        "target": result.target,
+        "target": args.target,
         "argmax": {"mu": result.argmax[0], "sigma2": result.argmax[1],
                    "value": result.argmax[2]},
         "argmax_mu0": {"mu": result.argmax_mu0[0],

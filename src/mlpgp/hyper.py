@@ -133,7 +133,6 @@ class GridResult:
     mu_axis: np.ndarray
     sig2_axis: np.ndarray
     values: np.ndarray
-    target: str
     argmax: Tuple[float, float, float]
     argmax_mu0: Tuple[float, float, float]
     n_failed: int = 0
@@ -188,7 +187,8 @@ def _log_targets(X, y, net_template: NetworkHyper,
                  prior: Optional[HyperPrior], noise_var: float, mu, sigma2):
     """log p(y | mu, sigma^2) [+ log hyper-prior], jitter and vanished mask at
     each point of the 1-D arrays mu, sigma2, by batched Grams; -inf, with
-    jitter 0, where the signal vanished, the Gram is not factorisable or the
+    jitter 0, where sigma^2 <= 0 or mu or sigma^2 is not finite (rows left
+    unevaluated), the signal vanished, the Gram is not factorisable or the
     value not finite.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -196,40 +196,23 @@ def _log_targets(X, y, net_template: NetworkHyper,
     values = np.full(mu.size, -np.inf)
     jitters = np.zeros(mu.size)
     vanished = np.zeros(mu.size, bool)
-    for chunk in _batch_slices(mu.size, X.shape[0] ** 2):
-        net = substitute_hyper(net_template, mu[chunk, None, None],
-                               sigma2[chunk, None, None])
+    rows = np.flatnonzero(np.isfinite(mu) & (sigma2 > 0.0) & (sigma2 < np.inf))
+    for chunk in _batch_slices(rows.size, X.shape[0] ** 2):
+        g = rows[chunk]
+        net = substitute_hyper(net_template, mu[g, None, None],
+                               sigma2[g, None, None])
         with np.errstate(over="ignore", invalid="ignore"):
-            K, vanished[chunk] = kernel_matrix(X, X, net)
-            for i in np.flatnonzero(~vanished[chunk]):
+            K, vanished[g] = kernel_matrix(X, X, net)
+            for i in np.flatnonzero(~vanished[g]):
                 try:
                     lml, jit = _lml_from_gram(K[i], y, noise_var)
                 except (FactorizationError, FloatingPointError):
                     continue
                 if np.isfinite(lml):
-                    g = chunk.start + i
                     if prior is not None:
-                        lml += hyper_prior_logpdf(mu[g], sigma2[g])
-                    values[g], jitters[g] = lml, jit
+                        lml += hyper_prior_logpdf(mu[g[i]], sigma2[g[i]])
+                    values[g[i]], jitters[g[i]] = lml, jit
     return values, jitters, vanished
-
-
-def _log_posteriors(X, y, net_template: NetworkHyper,
-                    prior: Optional[HyperPrior], noise_var: float) -> Callable:
-    """Batched `gp_log_posterior`: a (k, 2) array of (mu, sigma^2) rows to
-    their k log densities.  Rows with sigma^2 <= 0 or a non-finite value are
-    -inf without an evaluation; the rest share one `_log_targets` call.
-    """
-    def logp(thetas) -> np.ndarray:
-        mu, sigma2 = np.asarray(thetas, dtype=float).T
-        valid = np.isfinite(mu) & np.isfinite(sigma2) & (sigma2 > 0.0)
-        values = np.full(mu.size, -np.inf)
-        if np.any(valid):
-            values[valid] = _log_targets(X, y, net_template, prior, noise_var,
-                                         mu[valid], sigma2[valid])[0]
-        return values
-
-    return logp
 
 
 def gp_log_posterior(X, y, net_template: NetworkHyper,
@@ -239,10 +222,9 @@ def gp_log_posterior(X, y, net_template: NetworkHyper,
     Returns -inf for sigma^2 <= 0 and for hyperparameters where the Gram
     matrix cannot be factorised, so the result plugs straight into MH.
     """
-    logps = _log_posteriors(X, y, net_template, prior, noise_var)
-
     def logp(theta) -> float:
-        return logps([[float(theta[0]), float(theta[1])]])[0]
+        return _log_targets(X, y, net_template, prior, noise_var,
+                            *np.array([theta], float).T)[0][0]
 
     return logp
 
@@ -277,8 +259,8 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
         (float(mu_axis[i]), float(sig2_axis[j]), float(values[i, j]))
         for i, j in (np.unravel_index(np.argmax(values), values.shape),
                      (i0, np.argmax(values[i0]))))
-    return GridResult(mu_axis, sig2_axis, values, target, argmax, argmax_mu0,
-                      n_failed, jitter_events, n_vanished)
+    return GridResult(mu_axis, sig2_axis, values, argmax, argmax_mu0, n_failed,
+                      jitter_events, n_vanished)
 
 
 def random_walk_mh(log_density: Callable, init, config: MHConfig) -> Chain:
@@ -301,9 +283,9 @@ def _metropolis(log_densities: Callable, init, config: MHConfig,
 
     The next proposals are drafted as if each is rejected at a finite
     density, so each draws its step and its uniform; the walk through them
-    stops at the first acceptance or non-finite density.  The generator is
-    then put back where the steps taken leave it (a non-finite density
-    draws no uniform), so the chain has the bits of one proposal per call.
+    stops at the first acceptance or non-finite density.  The generator then
+    takes the state saved at the last step taken (a non-finite density draws
+    no uniform), so the chain has the bits of one proposal per call.
     """
     rng = np.random.default_rng(config.seed)
     L = np.linalg.cholesky(PROPOSAL_COV)
@@ -320,14 +302,16 @@ def _metropolis(log_densities: Callable, init, config: MHConfig,
     it = 0
     while it < total:
         drafted = min(prefetch, total - it)
-        start = rng.bit_generator.state
         props = np.empty((drafted, 2))
         log_u = np.empty(drafted)
+        # generator states after each proposal's normals z and its uniform u
+        after_z, after_u = [], []
         for j in range(drafted):
             props[j] = current + L @ rng.standard_normal(2)
+            after_z.append(rng.bit_generator.state)
             log_u[j] = np.log(rng.uniform())
-        draft_lds = log_densities(props)
-        for taken, ld in enumerate(draft_lds, 1):
+            after_u.append(rng.bit_generator.state)
+        for taken, ld in enumerate(log_densities(props), 1):
             it += 1
             finite = np.isfinite(ld)
             accept = finite and log_u[taken - 1] < ld - cur_ld
@@ -341,12 +325,7 @@ def _metropolis(log_densities: Callable, init, config: MHConfig,
                 kept += 1
             if accept or not finite:
                 break
-        if taken < drafted or not finite:
-            rng.bit_generator.state = start
-            for d in draft_lds[:taken]:
-                rng.standard_normal(2)
-                if np.isfinite(d):
-                    rng.uniform()
+        rng.bit_generator.state = (after_u if finite else after_z)[taken - 1]
     return Chain(samples[:kept], lds[:kept], accepted / total, n_neg_inf)
 
 
@@ -359,10 +338,10 @@ def mh_sample(X, y, net_template: NetworkHyper, prior: HyperPrior,
     scores the next PREFETCH proposals, with the chain of `random_walk_mh`
     on `gp_log_posterior` in every bit.
     """
-    if init[1] <= 0.0:
-        raise ValueError("initial sigma^2 must be positive")
-    logps = _log_posteriors(X, y, net_template, prior, noise_var)
-    return _metropolis(logps, init, config, PREFETCH)
+    def log_densities(thetas):
+        return _log_targets(X, y, net_template, prior, noise_var, *thetas.T)[0]
+
+    return _metropolis(log_densities, init, config, PREFETCH)
 
 
 def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,

@@ -33,24 +33,31 @@ def _mmd2_from_blocks(kxx, kyy, kxy) -> float:
     return float(term_x + term_y - 2.0 * kxy.mean())
 
 
+def _sample_sets(xs, ys):
+    # the two sample sets as 2-D arrays, checked for an unbiased MMD^2
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if xs.shape[0] < 2 or ys.shape[0] < 2:
+        raise ValueError("unbiased MMD^2 needs at least two samples per set")
+    if xs.shape[1] != ys.shape[1]:
+        raise ValueError("sample sets must share the probe dimension")
+    return xs, ys
+
+
 def mmd2_unbiased(xs, ys) -> float:
     """Unbiased U-statistic estimate of MMD^2 with kernel exp(-||u - v||^2).
 
     Rows of xs / ys are samples (function values at the shared probe
     points).  May be negative; that is the price of unbiasedness.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n, m = xs.shape[0], ys.shape[0]
-    if n < 2 or m < 2:
-        raise ValueError("unbiased MMD^2 needs at least two samples per set")
-    if xs.shape[1] != ys.shape[1]:
-        raise ValueError("sample sets must share the probe dimension")
+    xs, ys = _sample_sets(xs, ys)
     return _mmd2_from_blocks(_gram(xs, xs), _gram(ys, ys), _gram(xs, ys))
 
 
 def _null_band_from_gram(G, n, m, n_perm, seed):
     # all permutations at once: one GEMM against a 0/1 mask matrix
+    if n_perm < 1:
+        raise ValueError("the null band needs n_perm >= 1")
     diag = np.diag(G)
     total = G.sum()
     rng = np.random.default_rng(seed)
@@ -74,8 +81,7 @@ def permutation_null(xs, ys, n_perm: int = 200, seed: int = 0):
     Returns the 2.5% and 97.5% points of the permuted estimates; gives the
     scale on which an observed MMD^2 counts as indistinguishable from zero.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    xs, ys = _sample_sets(xs, ys)
     n, m = xs.shape[0], ys.shape[0]
     pooled = np.vstack([xs, ys])
     return _null_band_from_gram(_gram(pooled, pooled), n, m, n_perm, seed)

@@ -168,6 +168,44 @@ def test_grid_eval_cells_match_gp_log_posterior(monkeypatch):
             assert type(res.n_vanished) is int
 
 
+def test_log_targets_leaves_invalid_points_unevaluated(monkeypatch):
+    # sigma^2 <= 0 and nan or inf coordinates come back -inf with jitter 0
+    # and not vanished, never reach kernel_matrix, and leave the bits of the
+    # valid rows, here batched two to a call
+    ds = gen_sine(1)
+    deep = NetworkHyper(0.0, 1, (LayerHyper(0.0, 1.0),) * 8, True)
+    mu = np.array([-0.5, 0.0, -1.0, np.nan, 0.3, -1.5, 0.2, -0.8, 0.1])
+    s2 = np.array([2.0, 0.0, -1.0, 1.5, np.inf, 3.0, 1.0, 2.5, 0.5])
+    invalid = np.array([0, 1, 1, 1, 1, 0, 0, 0, 0], bool)
+    monkeypatch.setattr(kernels, "BATCH_ENTRIES",
+                        2 * ds.X_train.shape[0] ** 2)
+    sizes = []
+
+    def recording(*args, **kwargs):
+        K, vanished = kernel_matrix(*args, **kwargs)
+        sizes.append(len(vanished))
+        return K, vanished
+
+    monkeypatch.setattr(hyper, "kernel_matrix", recording)
+    args = (ds.X_train, ds.y_train, deep, HyperPrior(), 0.1)
+    values, jitters, vanished = hyper._log_targets(*args, mu, s2)
+    assert sizes == [2, 2, 1]
+    assert np.all(values[invalid] == -np.inf)
+    assert np.all(jitters[invalid] == 0.0) and not np.any(vanished[invalid])
+    assert np.all(np.isfinite(values[~invalid]))
+    alone = hyper._log_targets(*args, mu[~invalid], s2[~invalid])
+    for got, ref in zip((values, jitters, vanished), alone):
+        assert np.array_equal(got[~invalid], ref)
+    # every row invalid: no kernel call at all
+    sizes.clear()
+    values = hyper._log_targets(*args, np.array([0.0, np.inf]),
+                                np.array([-2.0, 1.0]))[0]
+    assert sizes == [] and np.all(values == -np.inf)
+    for init in ((0.0, 0.0), (0.0, -1.0), (np.nan, 2.0)):
+        with pytest.raises(ValueError, match="zero target density"):
+            mh_sample(*args[:4], MHConfig(), init, 0.1)
+
+
 def test_grid_constrained_max_tracks_stable_ridge():
     # for deeper nets the mu = 0 evidence maximum sits near sigma^2 = 2
     ds = gen_sine(1)
@@ -311,7 +349,7 @@ def test_prefetched_chain_replays_past_evaluated_neg_inf(monkeypatch):
     def banded(X, y, net_template, prior, noise_var, mu, sigma2):
         values, jitters, vanished = log_targets(X, y, net_template, prior,
                                                 noise_var, mu, sigma2)
-        assert np.all(sigma2 > 0.0)
+        assert np.all(values[~(sigma2 > 0.0)] == -np.inf)
         values[banned(mu)] = -np.inf
         stops.extend(np.flatnonzero(banned(mu)[:-1]))
         return values, jitters, vanished

@@ -74,6 +74,20 @@ def test_permutation_null_brackets_null_cases():
     assert lo <= mmd2_unbiased(xs, ys) <= hi
 
 
+def test_permutation_null_validation():
+    # a one-sample set has no unbiased MMD^2 and no permutations give no
+    # band; each is a ValueError of its own, as is a probe mismatch
+    with pytest.raises(ValueError, match="two samples"):
+        permutation_null([[1.0]], [[2.0], [3.0]])
+    with pytest.raises(ValueError, match="probe dimension"):
+        permutation_null(np.zeros((3, 2)), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="n_perm"):
+        permutation_null(np.zeros((3, 2)), np.ones((3, 2)), n_perm=0)
+    with pytest.raises(ValueError, match="n_perm"):
+        convergence_experiment(get_scheme("f2"), 3, (4,), n_samples=8,
+                               n_perm=0)
+
+
 def test_limiting_hyper_structure():
     net = limiting_hyper(get_scheme("f2"), 5, 10, a=0.0)
     assert net.depth == 5
