@@ -21,8 +21,11 @@ __all__ = [
 
 
 def _gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # fixed unit bandwidth, deliberately untuned
-    return np.exp(-cdist(u, v, "sqeuclidean"))
+    # fixed unit bandwidth, deliberately untuned; negated and exponentiated
+    # in place, so one N x M array is alive, not three
+    g = cdist(u, v, "sqeuclidean")
+    np.negative(g, out=g)
+    return np.exp(g, out=g)
 
 
 def _mmd2_from_blocks(kxx, kyy, kxy) -> float:
@@ -54,10 +57,14 @@ def mmd2_unbiased(xs, ys) -> float:
     return _mmd2_from_blocks(_gram(xs, xs), _gram(ys, ys), _gram(xs, ys))
 
 
-def _null_band_from_gram(G, n, m, n_perm, seed):
-    # all permutations at once: one GEMM against a 0/1 mask matrix
+def _check_n_perm(n_perm):
+    # no permutations give no band
     if n_perm < 1:
         raise ValueError("the null band needs n_perm >= 1")
+
+
+def _null_band_from_gram(G, n, m, n_perm, seed):
+    # all permutations at once: one GEMM against a 0/1 mask matrix
     diag = np.diag(G)
     total = G.sum()
     rng = np.random.default_rng(seed)
@@ -75,6 +82,16 @@ def _null_band_from_gram(G, n, m, n_perm, seed):
     return float(np.quantile(vals, 0.025)), float(np.quantile(vals, 0.975))
 
 
+def _mmd2_and_band(xs, ys, n_perm, seed):
+    # one pooled gram serves both the estimate and its null band; it lives
+    # only in this call, so no width's gram outlives its own comparison
+    n, m = xs.shape[0], ys.shape[0]
+    pooled = np.vstack([xs, ys])
+    G = _gram(pooled, pooled)
+    return (_mmd2_from_blocks(G[:n, :n], G[n:, n:], G[:n, n:]),
+            *_null_band_from_gram(G, n, m, n_perm, seed))
+
+
 def permutation_null(xs, ys, n_perm: int = 200, seed: int = 0):
     """Null band for MMD^2 under random relabelling of the pooled samples.
 
@@ -82,9 +99,8 @@ def permutation_null(xs, ys, n_perm: int = 200, seed: int = 0):
     scale on which an observed MMD^2 counts as indistinguishable from zero.
     """
     xs, ys = _sample_sets(xs, ys)
-    n, m = xs.shape[0], ys.shape[0]
-    pooled = np.vstack([xs, ys])
-    return _null_band_from_gram(_gram(pooled, pooled), n, m, n_perm, seed)
+    _check_n_perm(n_perm)
+    return _mmd2_and_band(xs, ys, n_perm, seed)[1:]
 
 
 def limiting_hyper(scheme: WeightScheme, depth: int, input_dim: int,
@@ -120,30 +136,45 @@ class ConvergenceResult:
     null_hi: np.ndarray
 
 
-# raw float32 weight-buffer budget of one _mlp_samples chunk
+# float32 weight budget of one draw-order chunk of _mlp_samples: it fixes
+# which generator values become which sample's weights, so it fixes the outputs
 CHUNK_BYTES = 2 ** 27
+# float32 weights filled and multiplied at a time, the 2 MB L2 per core (as
+# special.QUAD_ROWS): it sets only the sampler's memory, never its outputs
+SLAB_BYTES = 2 ** 21
 
 
 def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
     """Finite-network output samples at the probe points S.
 
-    A buffer-reusing chunked sampler: every sample is an independent
-    network with the distribution of sample_weights, at much less
-    allocator traffic than one sample_weights + forward call per sample.
+    A chunked sampler: every sample is an independent network with the
+    distribution of sample_weights, at much less allocator traffic than one
+    sample_weights + forward call per sample.
+
+    Draw order: the samples run in chunks of k = CHUNK_BYTES // (4 W^2 + 1).
+    Within a chunk each layer draws its latents A and C for all the chunk's
+    samples, then its raw weights sample by sample, so CHUNK_BYTES decides
+    which generator values become which sample's weights.  The raw weights
+    are filled and multiplied a slab of whole samples at a time, at most
+    SLAB_BYTES of them, into one buffer per layer shape.  A float32 fill
+    split into consecutive calls continues the same stream, and the stacked
+    matmul makes one product per sample, so SLAB_BYTES sets only the
+    memory: the outputs have the same bits for every slab size.
     """
     rng = np.random.Generator(np.random.SFC64(seed_seq))
     d_in = S.shape[1]
     n_probe = S.shape[0]
     sizes = [d_in] + [width] * (depth - 1) + [1]
     k = max(1, min(n_samples, CHUNK_BYTES // (4 * width * width + 1)))
-    # raw-draw float32 (k, n_in, n_out) buffers reused across chunks, so the
-    # sampler is allocation-free after warm-up; weights are affine in the
-    # raw draws, so their scale and shift fold into the (small) matmul
-    # output instead of costing full passes over the buffers:
+    # raw-draw float32 (s, n_in, n_out) slab buffers, one per layer shape,
+    # reused across slabs and chunks; weights are affine in the raw draws,
+    # so their scale and shift fold into the (small) matmul output instead
+    # of costing full passes over the buffers:
     #   h (c1 R + c2) = c1 (h R) + (h c2_col) 1^T
     bufs = {}
-    for n_i, n_o in zip(sizes[:-1], sizes[1:]):
-        bufs.setdefault((n_i, n_o), np.empty((k, n_i, n_o), dtype=np.float32))
+    for n_i, n_o in set(zip(sizes[:-1], sizes[1:])):
+        s = max(1, min(k, SLAB_BYTES // (4 * n_i * n_o)))
+        bufs[(n_i, n_o)] = np.empty((s, n_i, n_o), dtype=np.float32)
     S32 = S.astype(np.float32)
     out = np.empty((n_samples, n_probe))
     done = 0
@@ -152,10 +183,10 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
         m = min(k, n_samples - done)
         h = np.broadcast_to(S32, (m, n_probe, d_in))
         for l, (n_i, n_o) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
-            R = bufs[(n_i, n_o)][:m]
+            R = bufs[(n_i, n_o)]
             prior = layer_prior(scheme, l, depth)
             if isinstance(prior, IIDGaussian):
-                rng.standard_normal(out=R, dtype=np.float32)
+                fill = rng.standard_normal
                 c1 = np.float32(prior.sigma / np.sqrt(n_i))
                 col = prior.mu / n_i
             else:
@@ -167,13 +198,17 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
                 scale, shift = prior.affine(A, C)
                 scale = scale / np.sqrt(n_i)
                 shift = shift / n_i
-                rng.random(out=R, dtype=np.float32)
+                fill = rng.random
                 # weight = scale*(2 sqrt3 u - sqrt3) + shift
                 c1 = 2.0 * sqrt3 * np.asarray(scale, dtype=np.float32)
                 col = shift - sqrt3 * np.asarray(scale)
             c2 = np.empty((m, n_i, 1), dtype=np.float32)
             c2[:] = col
-            y = np.matmul(h, R)
+            y = np.empty((m, n_probe, n_o), dtype=np.float32)
+            for j in range(0, m, len(R)):
+                R_j = R[:m - j]
+                fill(out=R_j, dtype=np.float32)
+                np.matmul(h[j:j + len(R_j)], R_j, out=y[j:j + len(R_j)])
             y *= c1
             y += np.matmul(h, c2)
             h = y
@@ -239,6 +274,7 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
         raise ValueError("unbiased MMD^2 needs n_samples >= 2")
     if d_probe < 1:
         raise ValueError("need d_probe >= 1 probe point")
+    _check_n_perm(n_perm)
     root = np.random.SeedSequence(seed)
     probe_ss, gp_root, perm_root, mlp_root = root.spawn(4)
     S = np.random.default_rng(probe_ss).standard_normal((d_probe, input_dim))
@@ -251,10 +287,6 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
     for i, w in enumerate(widths):
         xs = _mlp_samples(scheme, depth, w, S, n_samples, a, mlp_children[i])
         ys = _gp_samples(scheme, depth, S, n_samples, a, gp_children[i])
-        # one pooled gram serves both the estimate and its null band
-        n, m = xs.shape[0], ys.shape[0]
-        G = _gram(np.vstack([xs, ys]), np.vstack([xs, ys]))
-        mmd2[i] = _mmd2_from_blocks(G[:n, :n], G[n:, n:], G[:n, n:])
-        lo[i], hi[i] = _null_band_from_gram(G, n, m, n_perm,
-                                            perm_children[i])
+        mmd2[i], lo[i], hi[i] = _mmd2_and_band(xs, ys, n_perm,
+                                               perm_children[i])
     return ConvergenceResult(widths, mmd2, lo, hi)

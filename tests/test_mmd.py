@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from mlpgp.gp import FactorizationError, _chol_with_jitter
 from mlpgp.kernels import LayerHyper, VanishedSignalError, kernel_matrix
 from mlpgp.mmd import (convergence_experiment, limiting_hyper, mmd2_unbiased,
                        permutation_null)
-from mlpgp.mmd import _gp_samples, _mlp_samples
+from mlpgp import mmd
+from mlpgp.mmd import _gp_samples, _gram, _mlp_samples
 
 SQRT2 = np.sqrt(2.0)
 
@@ -74,7 +76,7 @@ def test_permutation_null_brackets_null_cases():
     assert lo <= mmd2_unbiased(xs, ys) <= hi
 
 
-def test_permutation_null_validation():
+def test_permutation_null_validation(monkeypatch):
     # a one-sample set has no unbiased MMD^2 and no permutations give no
     # band; each is a ValueError of its own, as is a probe mismatch
     with pytest.raises(ValueError, match="two samples"):
@@ -83,9 +85,15 @@ def test_permutation_null_validation():
         permutation_null(np.zeros((3, 2)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="n_perm"):
         permutation_null(np.zeros((3, 2)), np.ones((3, 2)), n_perm=0)
+
+    # the experiment rejects n_perm before it draws a single network
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking n_perm")
+
+    monkeypatch.setattr(mmd, "_mlp_samples", no_sampling)
     with pytest.raises(ValueError, match="n_perm"):
-        convergence_experiment(get_scheme("f2"), 3, (4,), n_samples=8,
-                               n_perm=0)
+        convergence_experiment(get_scheme("f2"), 8, (512, 1024),
+                               n_samples=2000, n_perm=0)
 
 
 def test_limiting_hyper_structure():
@@ -164,6 +172,58 @@ def test_mlp_samples_ignore_scheme_name(name):
     want = _mlp_samples(preset, 4, 16, S, 40, 0.0, np.random.SeedSequence(6))
     got = _mlp_samples(renamed, 4, 16, S, 40, 0.0, np.random.SeedSequence(6))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme", [get_scheme("f2"), get_scheme("f4"),
+                                    IIDGaussian(0.3, SQRT2)],
+                         ids=["f2", "f4", "iid-mu0.3"])
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_mlp_samples_bits_do_not_depend_on_the_slab(monkeypatch, scheme, a):
+    # one sample per slab, the default (ragged: 300 samples in slabs of 128
+    # at width 64) and the whole chunk per slab all draw the same weights;
+    # a small chunk budget runs several chunks on every side
+    S = np.random.default_rng(0).standard_normal((4, 10))
+    default = mmd.SLAB_BYTES
+
+    def draw(slab_bytes):
+        monkeypatch.setattr(mmd, "SLAB_BYTES", slab_bytes)
+        return _mlp_samples(scheme, 4, 64, S, 300, a,
+                            np.random.SeedSequence(7)).tobytes()
+
+    for chunk_bytes in (mmd.CHUNK_BYTES, 2 ** 22):
+        monkeypatch.setattr(mmd, "CHUNK_BYTES", chunk_bytes)
+        want = draw(default)
+        assert draw(1) == want
+        assert draw(2 ** 40) == want
+
+
+def test_mlp_samples_memory_is_bounded():
+    # the weights are held one cache-sized slab at a time, not one 128 MB
+    # chunk (whole-chunk buffers peak at 256 MB here)
+    S = np.random.default_rng(0).standard_normal((4, 10))
+    tracemalloc.start()
+    try:
+        _mlp_samples(get_scheme("f2"), 8, 512, S, 300, 0.0,
+                     np.random.SeedSequence(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_gram_holds_one_array():
+    # cdist's output is negated and exponentiated in place
+    pooled = np.random.default_rng(0).standard_normal((4000, 4))
+    tracemalloc.start()
+    try:
+        G = _gram(pooled, pooled)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * G.nbytes
+    from scipy.spatial.distance import cdist
+    want = np.exp(-cdist(pooled[:50], pooled[:50], "sqeuclidean"))
+    assert G[:50, :50].tobytes() == want.tobytes()
 
 
 def test_gp_vs_gp_self_consistency():
