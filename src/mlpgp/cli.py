@@ -3,7 +3,9 @@
 Every subcommand emits plot-ready CSV/JSON (17-significant-digit floats);
 plotting itself is left to external tools.  All randomness flows from the
 single --seed flag through named substreams, so identical flags give
-byte-identical outputs.
+byte-identical outputs under a fixed BLAS thread count (OPENBLAS_NUM_THREADS).
+A different count can round some BLAS products differently: `prior-draws` at
+default flags writes different bytes under 1 and 2 threads.
 """
 
 import argparse

@@ -22,15 +22,26 @@ puts G in front of every shape; `bvn_cdf` cuts its quadrature blocks so that
 each slice keeps the bits of its own call.  With non-zero means the kernel is
 not a function of the input angle alone, so normalised angles are never stored
 internally.
+
+The moment maps form their elementwise terms (the linear, cross and absolute
+moments and their weighted sum) a block of `_PAIR_BLOCK` pair entries at a
+time, over the leading G and N axes, into one output array; calls of up to
+that many entries are one block.  A layer's pair-sized arrays are then the
+pairs' state (k_xy, divided into rho in place), the regular-pair mask, and
+`bvn_cdf`'s inputs, indices and output.  `bvn_cdf` still takes the regular
+(off-colinear) pairs of the whole layer in one call, in C order: its gemv
+rounds a row by its place in the call, so a call per block would change the
+bits.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import erf
 
-from .special import bvn_cdf, bvn_pdf, std_normal_cdf, std_normal_pdf
+from .special import _SQRT2, bvn_cdf, bvn_pdf, std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "ArrayLike",
@@ -58,7 +69,9 @@ VANISHED_TOL = 1e-300
 # Gram entries per batched kernel_matrix call; bounds a sweep's memory
 BATCH_ENTRIES = 2 ** 12
 
-_SQRT2 = np.sqrt(2.0)
+# pair entries whose moment terms are formed at a time; the whole-layer
+# arrays, not these blocks, set the recursion's peak memory
+_PAIR_BLOCK = 2 ** 15
 
 
 class DegenerateInputError(ValueError):
@@ -159,38 +172,83 @@ def _abs_moment_colinear(b1, b2):
     return 1.0 + b1 * b2 - 2.0 * mid
 
 
-def abs_kernel(s1, s2, rho, t1, t2) -> np.ndarray:
-    """E|G1||G2| (folded Gaussian cross moment); s1, s2 > 0, |rho| <= 1."""
-    s1, s2, rho, t1, t2 = np.broadcast_arrays(s1, s2, rho, t1, t2)
-    m1 = t1 / s1
-    m2 = t2 / s2
-    sin2 = (1.0 - rho) * (1.0 + rho)
-    sin_t = np.sqrt(sin2)
-
-    out = np.empty(np.broadcast(s1, rho).shape)
-    colinear = sin_t < SIN_THETA_TOL
-    regular = ~colinear
-
-    if np.any(colinear):
+def _abs_moment(s1, s2, rho, t1, t2, regular, h, k, r, phi2):
+    # E|G1||G2| of broadcast operands: the |rho| = 1 limit off `regular`, and
+    # at the regular pairs the quadrant form, whose m1, m2, rho and
+    # Phi2(m1, m2; rho) are h, k, r and phi2, in C order
+    out = np.empty(s1.shape)
+    colinear = ~regular
+    if colinear.any():
         sign = np.where(rho[colinear] > 0.0, 1.0, -1.0)
         out[colinear] = (s1 * s2)[colinear] * _abs_moment_colinear(
-            m1[colinear], sign * m2[colinear])
-
-    if np.any(regular):
-        slices = np.nonzero(regular)[0] if regular.ndim == 3 else None
-        s1r, s2r = s1[regular], s2[regular]
-        r = rho[regular]
-        m1r, m2r = m1[regular], m2[regular]
-        st = sin_t[regular]
-        quadrant = 4.0 * bvn_cdf(m1r, m2r, r, _slices=slices) \
-            - 2.0 * std_normal_cdf(m1r) - 2.0 * std_normal_cdf(m2r) + 1.0
-        term1 = (m1r * m2r + r) * quadrant
-        term2 = 2.0 * m1r * std_normal_pdf(m2r) * erf((m1r - r * m2r) / (_SQRT2 * st))
-        term3 = 2.0 * m2r * std_normal_pdf(m1r) * erf((m2r - r * m1r) / (_SQRT2 * st))
-        term4 = 4.0 * sin2[regular] * bvn_pdf(m1r, m2r, r)
-        out[regular] = s1r * s2r * (term1 + term2 + term3 + term4)
-
+            (t1 / s1)[colinear], sign * (t2 / s2)[colinear])
+    if h.size:
+        sin2 = (1.0 - r) * (1.0 + r)
+        st = np.sqrt(sin2)
+        quadrant = 4.0 * phi2 - 2.0 * std_normal_cdf(h) \
+            - 2.0 * std_normal_cdf(k) + 1.0
+        term1 = (h * k + r) * quadrant
+        term2 = 2.0 * h * std_normal_pdf(k) * erf((h - r * k) / (_SQRT2 * st))
+        term3 = 2.0 * k * std_normal_pdf(h) * erf((k - r * h) / (_SQRT2 * st))
+        term4 = 4.0 * sin2 * bvn_pdf(h, k, r)
+        out[regular] = s1[regular] * s2[regular] * (term1 + term2 + term3
+                                                    + term4)
     return out
+
+
+def _row_blocks(shape, entries):
+    # index tuples over all but the last axis of `shape`, in C order: blocks
+    # of at most `entries` entries, or of one row; () is the whole array
+    if len(shape) < 2 or math.prod(shape) <= entries:
+        return [()]
+    inner = math.prod(shape[1:])
+    if inner <= entries:
+        step = entries // max(1, inner)
+        return [(slice(lo, lo + step),) + (slice(None),) * (len(shape) - 2)
+                for lo in range(0, shape[0], step)]
+    return [(slice(lo, lo + 1), *rest) for lo in range(shape[0])
+            for rest in _row_blocks(shape[1:], entries)]
+
+
+def _part(v, idx):
+    # operand v's part of block idx of the broadcast array; v's broadcast
+    # axes stay whole
+    if not idx:
+        return v
+    v = np.asarray(v)
+    sel = idx[len(idx) + 1 - v.ndim:]
+    return v[tuple(i if n > 1 else slice(None) for i, n in zip(sel, v.shape))]
+
+
+def _pair_blocks(moment, s1, s2, rho, t1, t2):
+    # moment(s1, s2, rho, t1, t2, E|G1||G2|) of each row block of the pairs'
+    # broadcast array, written into one array.  bvn_cdf gets the regular pairs
+    # of the whole array in one call, in C order with one batch slice per
+    # leading index of a (G, N, M) array: gemv rounds a row by its place in
+    # the call, so a call per block would change the bits
+    ops = (s1, s2, rho, t1, t2)
+    full = np.broadcast_arrays(*ops)
+    regular = ~(np.sqrt((1.0 - full[2]) * (1.0 + full[2])) < SIN_THETA_TOL)
+    at_regular = [np.empty(0)] * 4  # m1, m2, rho and Phi2 of regular pairs
+    if regular.any():
+        h, k, r = ((full[3] / full[0])[regular], (full[4] / full[1])[regular],
+                   full[2][regular])
+        slices = regular.nonzero()[0] if regular.ndim == 3 else None
+        at_regular = [h, k, r, bvn_cdf(h, k, r, _slices=slices)]
+    out = np.empty(regular.shape)
+    at = 0
+    for idx in _row_blocks(regular.shape, _PAIR_BLOCK):
+        reg = regular[idx]
+        n = at + np.count_nonzero(reg)
+        out[idx] = moment(*[_part(v, idx) for v in ops], _abs_moment(
+            *[v[idx] for v in full], reg, *[v[at:n] for v in at_regular]))
+        at = n
+    return out
+
+
+def abs_kernel(s1, s2, rho, t1, t2) -> np.ndarray:
+    """E|G1||G2| (folded Gaussian cross moment); s1, s2 > 0, |rho| <= 1."""
+    return _pair_blocks(lambda *ops: ops[-1], s1, s2, rho, t1, t2)
 
 
 def cross_term(s1, s2, rho, t1, t2) -> ArrayLike:
@@ -214,11 +272,15 @@ def lrelu_kernel(s1, s2, rho, t1, t2, a: float) -> ArrayLike:
     split psi(z) = ((1+a) z + (1-a)|z|)/2 as the quarter-weighted sum of the
     linear, two cross, and absolute-value moments.
     """
-    lin = linear_kernel(s1, s2, rho, t1, t2)
-    cross = cross_term(s1, s2, rho, t1, t2) + cross_term(s2, s1, rho, t2, t1)
-    return 0.25 * ((1.0 + a) ** 2 * lin
-                   + (1.0 - a * a) * cross
-                   + (1.0 - a) ** 2 * abs_kernel(s1, s2, rho, t1, t2))
+    def moment(s1, s2, rho, t1, t2, e_abs):
+        lin = linear_kernel(s1, s2, rho, t1, t2)
+        cross = cross_term(s1, s2, rho, t1, t2) \
+            + cross_term(s2, s1, rho, t2, t1)
+        return 0.25 * ((1.0 + a) ** 2 * lin
+                       + (1.0 - a * a) * cross
+                       + (1.0 - a) ** 2 * e_abs)
+
+    return _pair_blocks(moment, s1, s2, rho, t1, t2)
 
 
 def lrelu_mean(mu_t, sigma_t, a: float) -> ArrayLike:
@@ -239,7 +301,7 @@ def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
         ys = x
     pts = x if ys is x else np.concatenate((x, ys))
     r = np.linalg.norm(pts, axis=1)[:, None]
-    if np.any(r == 0.0):
+    if (r == 0.0).any():
         raise DegenerateInputError("zero-norm input has no first-layer signal")
     rows = np.s_[..., :len(x), :]
     cols = rows if y is None else np.s_[..., None, len(pts) - len(ys):, 0]
@@ -263,7 +325,7 @@ def _sqrt_product(k_i, k_j):
     prod = k_i * k_j
     low = prod < np.finfo(float).tiny
     np.sqrt(prod, out=prod)
-    if np.any(low):
+    if low.any():
         prod[low] = (np.sqrt(k_i) * np.sqrt(k_j))[low]
     return prod
 
@@ -285,8 +347,8 @@ def _recurse(x, y, net: NetworkHyper):
         # the first-layer rho would stay alive through every hidden layer
         del rho
     for l in range(2, last_hidden + 1):
-        low = np.any(k < VANISHED_TOL, (-2, -1))
-        if np.any(low):
+        low = (k < VANISHED_TOL).any((-2, -1))
+        if low.any():
             if vanished.ndim == 0:
                 raise VanishedSignalError(l, float(np.min(k)))
             # a vanished slice goes on from a unit state: no warnings
@@ -294,10 +356,11 @@ def _recurse(x, y, net: NetworkHyper):
             k, m, k_xy = (np.where(vanished[:, None, None], 1.0, v)
                           for v in (k, m, k_xy))
         layer = layers[l - 1]
+        # rho takes k_xy's place, so one pair array enters the moment maps
+        k_xy /= _sqrt_product(k[rows], k[cols])
         k, m, k_xy = _moment_step(
             layer.sigma * np.sqrt(k), layer.mu * m,
-            np.clip(k_xy / _sqrt_product(k[rows], k[cols]), -1.0, 1.0),
-            rows, cols, net.slope_a)
+            np.clip(k_xy, -1.0, 1.0, out=k_xy), rows, cols, net.slope_a)
     if last_hidden and net.final_layer_linear:  # a linear layer on LReLU ones
         out = layers[-1]
         k_xy = out.sigma ** 2 * k_xy + out.mu ** 2 * m[rows] * m[cols]

@@ -4,9 +4,13 @@ All functions accept scalars or numpy arrays, broadcast elementwise and
 return numpy values (a 0-d array or numpy scalar for scalar input).  The
 bivariate CDF follows the Drezner-Wesolowsky/Genz algorithm: Gauss-Legendre
 quadrature on the single-integral form, with the usual change of variable for
-correlations beyond 0.925.  Its quadrature values are formed and summed
-`QUAD_ROWS` rows at a time, so memory stays a few n-length arrays, and each
-row has the bits of one gemv per batch slice whatever the block size.
+correlations beyond 0.925.  Each branch runs over blocks of about
+`QUAD_ROWS` rows: a block gathers its h, k and rho through the branch's
+index array, forms its quadrature values and every other term, sums the
+quadrature by gemv and writes its rows of the output.  So the n-length
+arrays it makes are its output, the branch masks and one branch's indices,
+and each row has the bits of one gemv per batch slice whatever the block
+size.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ __all__ = [
     "bvn_cdf",
 ]
 
+_SQRT2 = np.sqrt(2.0)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -61,7 +66,7 @@ def std_normal_pdf(z):
 def std_normal_cdf(z):
     """Standard normal CDF Phi(z) via erfc for accuracy in both tails."""
     z = np.asarray(z, dtype=float)
-    return 0.5 * _sps.erfc(-z / np.sqrt(2.0))
+    return 0.5 * _sps.erfc(-z / _SQRT2)
 
 
 def bvn_pdf(h, k, rho):
@@ -73,7 +78,7 @@ def bvn_pdf(h, k, rho):
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if np.any(np.abs(rho) >= 1.0 - DEGENERATE_RHO_TOL):
+    if (np.abs(rho) >= 1.0 - DEGENERATE_RHO_TOL).any():
         raise DegenerateCorrelationError(
             "bivariate normal density is degenerate at |rho| = 1")
     omr2 = (1.0 - rho) * (1.0 + rho)
@@ -81,47 +86,44 @@ def bvn_pdf(h, k, rho):
     return np.exp(-quad) * _INV_2PI / np.sqrt(omr2)
 
 
-def _gl_sum(integrand, n, slices):
-    # Gauss-Legendre sums of n rows, each block of about QUAD_ROWS rows formed
-    # by integrand(block) and summed by gemv while it is in cache.  OpenBLAS
-    # gemv rounds a row by its place in the call's 4-row groups, and numpy
-    # sends a 1-row product to dot, so a batch slice is cut only at multiples
-    # of 4 from its start and never one row before its end: every row keeps
-    # the bits of one gemv per slice (Owen's T, with no quadrature, would
-    # delete this).
+def _gl_sum(n, slices):
+    # n rows in blocks of about QUAD_ROWS, as (rows, gl_sum) pairs: gl_sum
+    # forms the Gauss-Legendre sums of the block's (rows, 20) quadrature values
+    # by gemv while they are in cache.  OpenBLAS gemv rounds a row by its place
+    # in the call's 4-row groups, and numpy sends a 1-row product to dot, so a
+    # batch slice is cut only at multiples of 4 from its start and never one
+    # row before its end: every row keeps the bits of one gemv per slice
+    # (Owen's T, with no quadrature, would delete this).
     starts = [0] if slices is None else \
         [0, *(np.flatnonzero(np.diff(slices)) + 1).tolist()]
     cuts = []
     for lo, hi in zip(starts, starts[1:] + [n]):
         cuts += [lo, *range(lo + QUAD_ROWS, hi - 1, QUAD_ROWS)]
     cuts.append(n)
-    sums, i = [], 0
+    blocks, i = [], 0
     while i < len(cuts) - 1:
         j = i + 1
         while j + 1 < len(cuts) and cuts[j + 1] - cuts[i] <= QUAD_ROWS:
             j += 1
-        vals = integrand(slice(cuts[i], cuts[j]))
-        sums += [vals[lo - cuts[i]:hi - cuts[i]] @ _GL_WEIGHTS
-                 for lo, hi in zip(cuts[i:j], cuts[i + 1:j + 1])]
+        segs = [slice(lo - cuts[i], hi - cuts[i])
+                for lo, hi in zip(cuts[i:j], cuts[i + 1:j + 1])]
+        blocks.append((slice(cuts[i], cuts[j]), lambda vals, segs=segs:
+                       np.concatenate([vals[s] @ _GL_WEIGHTS for s in segs])))
         i = j
-    return np.concatenate(sums)
+    return blocks
 
 
-def _bvn_cdf_moderate(h, k, rho, slices):
+def _bvn_cdf_moderate(h, k, rho, gl_sum):
     # Phi2 = Phi(h)Phi(k) + (1/2pi) * int_0^asin(rho) exp((hk sin t - hs)/cos^2 t) dt
     hk = h * k
     hs = 0.5 * (h * h + k * k)
     asr = 0.5 * np.arcsin(rho)
-
-    def integrand(rows):
-        sn = np.sin(asr[rows, None] * _GL_NODES[None, :])
-        return np.exp((sn * hk[rows, None] - hs[rows, None]) / (1.0 - sn * sn))
-
-    total = _gl_sum(integrand, h.size, slices)
+    sn = np.sin(asr[:, None] * _GL_NODES[None, :])
+    total = gl_sum(np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)))
     return total * asr * _INV_2PI + std_normal_cdf(h) * std_normal_cdf(k)
 
 
-def _bvn_cdf_strong(h, k, rho, slices):
+def _bvn_cdf_strong(h, k, rho, gl_sum):
     # Change of variable x^2 = 1 - r^2 on the tail integral toward |rho| = 1;
     # the exp(-bs/2x^2) singular factor integrates in closed form against the
     # fourth-order Taylor expansion of the remaining smooth factor.
@@ -147,16 +149,14 @@ def _bvn_cdf_strong(h, k, rho, slices):
                    * (1.0 - c * bs / 3.0 + c * d * bs * bs / 15.0))
 
     # Gauss-Legendre on the smooth residual over [0, a]
-    def integrand(rows):
-        xs = (0.5 * a[rows, None] * _GL_NODES[None, :]) ** 2
-        rs = np.sqrt(1.0 - xs)
-        asr_q = -0.5 * (bs[rows, None] / xs + hk[rows, None])
-        smooth = (np.exp(-hk[rows, None] * xs / (2.0 * (1.0 + rs) ** 2)) / rs
-                  - (1.0 + c[rows, None] * xs * (1.0 + d[rows, None] * xs)))
-        return np.where(asr_q > -100.0,
-                        np.exp(np.maximum(asr_q, -745.0)) * smooth, 0.0)
-
-    tail = tail + 0.5 * a * _gl_sum(integrand, h.size, slices)
+    xs = (0.5 * a[:, None] * _GL_NODES[None, :]) ** 2
+    rs = np.sqrt(1.0 - xs)
+    asr_q = -0.5 * (bs[:, None] / xs + hk[:, None])
+    smooth = (np.exp(-hk[:, None] * xs / (2.0 * (1.0 + rs) ** 2)) / rs
+              - (1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)))
+    tail = tail + 0.5 * a * gl_sum(
+        np.where(asr_q > -100.0, np.exp(np.maximum(asr_q, -745.0)) * smooth,
+                 0.0))
 
     # Phi2(h, k; rho) = Phi(min(h, k)) - tail/2pi            for rho > 0
     # Phi2(h, k; rho) = Phi(h) - Phi2(h, -k; -rho)            for rho < 0
@@ -174,7 +174,7 @@ def bvn_cdf(h, k, rho, *, _slices=None):
     h, k, rho = np.broadcast_arrays(np.asarray(h, dtype=float),
                                     np.asarray(k, dtype=float),
                                     np.asarray(rho, dtype=float))
-    if np.any(np.abs(rho) > 1.0):
+    if (np.abs(rho) > 1.0).any():
         raise ValueError("correlation must lie in [-1, 1]")
     shape = h.shape
     h = h.ravel()
@@ -187,19 +187,21 @@ def bvn_cdf(h, k, rho, *, _slices=None):
     strong = (np.abs(rho) > 0.925) & ~deg_pos & ~deg_neg
     moderate = ~(deg_pos | deg_neg | strong)
 
-    if np.any(deg_pos):
+    if deg_pos.any():
         out[deg_pos] = std_normal_cdf(np.minimum(h[deg_pos], k[deg_pos]))
-    if np.any(deg_neg):
+    if deg_neg.any():
         lower = std_normal_cdf(h[deg_neg]) + std_normal_cdf(k[deg_neg]) - 1.0
         out[deg_neg] = np.maximum(0.0, lower)
 
-    def part(mask):
-        slices = None if _slices is None else _slices[mask]
-        return h[mask], k[mask], rho[mask], slices
+    # each branch's blocks gather their rows through the branch's indices and
+    # do all of its work on them, so no branch copies a whole-array operand
+    for branch, mask in ((_bvn_cdf_strong, strong),
+                         (_bvn_cdf_moderate, moderate)):
+        if mask.any():
+            at = mask.nonzero()[0]
+            for rows, gl_sum in _gl_sum(
+                    at.size, None if _slices is None else _slices[at]):
+                i = at[rows]
+                out[i] = branch(h[i], k[i], rho[i], gl_sum)
 
-    if np.any(strong):
-        out[strong] = _bvn_cdf_strong(*part(strong))
-    if np.any(moderate):
-        out[moderate] = _bvn_cdf_moderate(*part(moderate))
-
-    return np.clip(out, 0.0, 1.0).reshape(shape)
+    return np.clip(out, 0.0, 1.0, out=out).reshape(shape)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -429,25 +430,72 @@ def test_kernel_matrix_batch_equals_slices():
 
 
 def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
-    # a 150-point depth-8 ridge Gram sends about 22,000 rows per layer to
-    # bvn_cdf, several blocks at the default size; the Grams of a batched
-    # call and of unbatched calls keep their bits at every block size
-    X = circle_traversal(10, 150, 0)
+    # the Grams and diagonals of batched and unbatched calls keep their bits
+    # at every quadrature block size and pair block size: 1 row, a few rows
+    # and the whole array.  An 84-point Gram sends up to 7,056 rows per
+    # layer to bvn_cdf (14,112 for a batch of two), so a branch fills more
+    # than one quadrature block at the default size.  Its antipodal rows,
+    # and Xs's copies of X's rows, put pairs on the colinear branch at
+    # rho = -1 and +1, and the ridge nets put pairs on the strong and
+    # moderate branches.  bvn_cdf's own degenerate branch lies inside the
+    # colinear cutoff, so only direct calls reach it (test_special)
+    X = circle_traversal(10, 80, 0)
+    X = np.concatenate((X, -X[:4]))
+    Xs = np.concatenate((X[::7], -X[1::9],
+                         np.random.default_rng(7).standard_normal((6, 10))))
     mus, sigmas = [-1.05, -0.5], np.sqrt([3.06, 2.0])
+    rhos = []
 
-    def ridge(mu, sigma):
-        return NetworkHyper(0.0, 10, (LayerHyper(mu, sigma),) * 7
+    def spy(h, k, rho, *, real=special.bvn_cdf, **kw):
+        rhos.append(np.abs(rho))
+        return real(h, k, rho, **kw)
+
+    monkeypatch.setattr(kernels, "bvn_cdf", spy)
+
+    def ridge(a, mu, sigma):
+        return NetworkHyper(a, 10, (LayerHyper(mu, sigma),) * 5
                             + (LayerHyper(0.0, 1.0),))
 
-    nets = [ridge(m, s) for m, s in zip(mus, sigmas)]
-    batched = ridge(_batch(mus), _batch(sigmas))
-    want = _per_slice(X, X, nets)
-    for rows in (4, 8, 12, special.QUAD_ROWS):
+    def evaluate(net):
+        return kernel_matrix(X, X, net), kernel_matrix(Xs, X, net), \
+            kernel_diag(Xs, net)
+
+    slopes = (0.0, 0.3, -0.5)
+    want = {a: [evaluate(ridge(a, m, s)) for m, s in zip(mus, sigmas)]
+            for a in slopes}
+    strong = [r > 0.925 for r in rhos]
+    assert any(s.any() for s in strong)
+    assert max(np.count_nonzero(~s) for s in strong) > special.QUAD_ROWS
+    for rows, entries in ((4, 1), (8, 3 * len(X)), (12, 2 ** 62),
+                          (special.QUAD_ROWS, kernels._PAIR_BLOCK)):
         monkeypatch.setattr(special, "QUAD_ROWS", rows)
-        K, vanished = kernel_matrix(X, X, batched)
-        assert not vanished.any()
-        for grams in (K, _per_slice(X, X, nets)):
-            assert all(np.array_equal(g, w) for g, w in zip(grams, want))
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", entries)
+        for a in slopes:
+            (K, vanished), (Ks, vs), (kd, vd) = evaluate(
+                ridge(a, _batch(mus), _batch(sigmas)))
+            assert not (vanished.any() or vs.any() or vd.any())
+            batched = list(zip(K, Ks, kd))
+            for got in (batched, [evaluate(ridge(a, m, s))
+                                  for m, s in zip(mus, sigmas)]):
+                for g, w in zip(got, want[a]):
+                    assert all(np.array_equal(gi, wi) for gi, wi in zip(g, w))
+
+
+def test_kernel_matrix_memory_is_bounded():
+    # each hidden layer holds the pairs' state and a few whole-layer arrays
+    # (bvn_cdf's inputs, indices and output); the moment maps' other terms
+    # are formed a block of pairs at a time.  27x the Gram's bytes when the
+    # whole layer's terms were formed at once
+    X = circle_traversal(10, 600, 0)
+    net = NetworkHyper(0.0, 10, (LayerHyper(-1.05, np.sqrt(3.06)),) * 3
+                       + (LayerHyper(0.0, 1.0),))
+    tracemalloc.start()
+    try:
+        K = kernel_matrix(X, X, net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * K.nbytes
 
 
 def test_kernel_matrix_batch_marks_vanished_slice():
