@@ -26,12 +26,20 @@ internally.
 The moment maps form their elementwise terms (the linear, cross and absolute
 moments and their weighted sum) a block of `_PAIR_BLOCK` pair entries at a
 time, over the leading G and N axes, into one output array; calls of up to
-that many entries are one block.  A layer's pair-sized arrays are then the
-pairs' state (k_xy, divided into rho in place), the regular-pair mask, and
-`bvn_cdf`'s inputs, indices and output.  `bvn_cdf` still takes the regular
-(off-colinear) pairs of the whole layer in one call, in C order: its gemv
-rounds a row by its place in the call, so a call per block would change the
-bits.
+that many entries are one block.  Each point's m = t/s, Phi(m) and phi(m) are
+formed once per call, and the pairs read them by broadcasting.  The regular
+(off-colinear) pairs' Phi2 values have the bits of one `bvn_cdf` call over the
+whole layer, in C order.  Its quadrature is summed by OpenBLAS gemv, which
+gives a row of a full 4-row group the same bits wherever it sits; only the
+last n mod 4 rows of a call, and a 1-row product (numpy sends it to dot),
+round by their place.  So a call per block would change the bits of the rows
+it puts in a tail.  A square Gram of X with itself (one net) evaluates a lower
+pair only where it cannot copy its mirror's Phi2 (`_mirrored_bvn_cdf`), and
+evaluates each branch's whole-layer tail again: 59% of the regular pairs of
+the prior draws' 600-point depth-16 ridge Gram reach `bvn_cdf`.  A layer's
+pair-sized arrays are then the pairs' state (k_xy, divided into rho in
+place), the regular-pair mask, the Phi2 array and `bvn_cdf`'s inputs and
+output.
 """
 
 import math
@@ -41,7 +49,8 @@ from typing import Tuple, Union
 import numpy as np
 from scipy.special import erf
 
-from .special import _SQRT2, bvn_cdf, bvn_pdf, std_normal_cdf, std_normal_pdf
+from .special import (_SQRT2, STRONG_RHO, bvn_cdf, bvn_pdf, std_normal_cdf,
+                      std_normal_pdf)
 
 __all__ = [
     "ArrayLike",
@@ -172,27 +181,38 @@ def _abs_moment_colinear(b1, b2):
     return 1.0 + b1 * b2 - 2.0 * mid
 
 
-def _abs_moment(s1, s2, rho, t1, t2, regular, h, k, r, phi2):
-    # E|G1||G2| of broadcast operands: the |rho| = 1 limit off `regular`, and
-    # at the regular pairs the quadrant form, whose m1, m2, rho and
-    # Phi2(m1, m2; rho) are h, k, r and phi2, in C order
-    out = np.empty(s1.shape)
+def _at(v, mask):
+    # operand v's values at the True entries of mask, which has the broadcast
+    # array's shape, in C order
+    if np.shape(v) != mask.shape:
+        return np.broadcast_to(v, mask.shape)[mask]
+    return np.asarray(v)[mask]
+
+
+def _abs_moment(s1, s2, rho, regular, m1, m2, phi2, cdf1, cdf2, pdf1, pdf2):
+    # E|G1||G2| of one block, from the parts of broadcast operands: the
+    # |rho| = 1 limit off `regular`, and on it the quadrant form, whose
+    # Phi2(m1, m2; rho) is phi2.  m1 = t1/s1 and m2 = t2/s2 are per point,
+    # and so are cdf and pdf, their Phi and phi
+    ss = s1 * s2
     colinear = ~regular
+    if colinear.all():
+        sign = np.where(rho > 0.0, 1.0, -1.0)
+        return ss * _abs_moment_colinear(m1, sign * m2)
+    # the quadrant form over the whole block, with rho = 0 standing in at the
+    # colinear pairs, which then take the limit
+    r = np.where(regular, rho, 0.0)
+    sin2 = (1.0 - r) * (1.0 + r)
+    st = np.sqrt(sin2)
+    total = (m1 * m2 + r) * (4.0 * phi2 - 2.0 * cdf1 - 2.0 * cdf2 + 1.0)
+    total += 2.0 * m1 * pdf2 * erf((m1 - r * m2) / (_SQRT2 * st))
+    total += 2.0 * m2 * pdf1 * erf((m2 - r * m1) / (_SQRT2 * st))
+    total += 4.0 * sin2 * bvn_pdf(m1, m2, r)
+    out = ss * total
     if colinear.any():
-        sign = np.where(rho[colinear] > 0.0, 1.0, -1.0)
-        out[colinear] = (s1 * s2)[colinear] * _abs_moment_colinear(
-            (t1 / s1)[colinear], sign * (t2 / s2)[colinear])
-    if h.size:
-        sin2 = (1.0 - r) * (1.0 + r)
-        st = np.sqrt(sin2)
-        quadrant = 4.0 * phi2 - 2.0 * std_normal_cdf(h) \
-            - 2.0 * std_normal_cdf(k) + 1.0
-        term1 = (h * k + r) * quadrant
-        term2 = 2.0 * h * std_normal_pdf(k) * erf((h - r * k) / (_SQRT2 * st))
-        term3 = 2.0 * k * std_normal_pdf(h) * erf((k - r * h) / (_SQRT2 * st))
-        term4 = 4.0 * sin2 * bvn_pdf(h, k, r)
-        out[regular] = s1[regular] * s2[regular] * (term1 + term2 + term3
-                                                    + term4)
+        sign = np.where(rho > 0.0, 1.0, -1.0)
+        out[colinear] = _at(ss, colinear) * _abs_moment_colinear(
+            _at(m1, colinear), _at(sign * m2, colinear))
     return out
 
 
@@ -220,29 +240,85 @@ def _part(v, idx):
     return v[tuple(i if n > 1 else slice(None) for i, n in zip(sel, v.shape))]
 
 
+def _mirrored_bvn_cdf(m, rho, regular):
+    # Phi2(m_i, m_j; rho_ij) at the regular pairs of a square (N, N) Gram, as
+    # an (N, N) array with the bits of one bvn_cdf call over all of them in C
+    # order.  A lower pair whose rho has its mirror's bits (so the mirror is
+    # regular too) has the mirror's quadrature values and copies its Phi2,
+    # except on the strong branch at rho < 0, where Phi(h) - pos is not
+    # symmetric.  gemv gives a row of a full 4-row group the same bits
+    # wherever it sits, the last n mod 4 rows of a call other bits, and a
+    # 1-row call (dot) others again.  So each branch's evaluated rows are
+    # padded to whole groups with dummies (h = k = 0 at a rho of the branch),
+    # and after the copy the last n_b mod 4 of the branch's n_b rows in the
+    # whole layer are evaluated again as the call's tail; a branch of one row
+    # is that row alone
+    n = len(m)
+    copy = np.tri(n, k=-1, dtype=bool)
+    copy &= regular
+    copy &= rho >= -STRONG_RHO
+    copy &= rho.view(np.int64) == rho.T.view(np.int64)
+    need = regular ^ copy
+    strong = np.abs(rho) > STRONG_RHO
+    strong &= regular
+    tail, pads = [], []
+    for mask, dummy in ((strong, 0.95), (regular ^ strong, 0.5)):
+        count = np.count_nonzero(mask)
+        if count > 1:
+            tail += np.flatnonzero(mask)[count - count % 4:].tolist()
+            pads += [dummy] * (-np.count_nonzero(mask & need) % 4)
+    del strong
+    n_need = np.count_nonzero(need)
+    i, j = np.divmod(np.array(tail, dtype=np.intp), n)
+    dummies = np.zeros(len(pads))
+    h = np.concatenate((_at(m[:, None], need), dummies, m[i]))
+    k = np.concatenate((_at(m, need), dummies, m[j]))
+    r = np.concatenate((rho[need], pads, rho[i, j]))
+    phi2 = bvn_cdf(h, k, r)
+    del h, k, r
+    out = np.zeros((n, n))
+    out[need] = phi2[:n_need]
+    out[copy] = out.T[copy]
+    out[i, j] = phi2[n_need + len(pads):]
+    return out
+
+
 def _pair_blocks(moment, s1, s2, rho, t1, t2):
     # moment(s1, s2, rho, t1, t2, E|G1||G2|) of each row block of the pairs'
-    # broadcast array, written into one array.  bvn_cdf gets the regular pairs
-    # of the whole array in one call, in C order with one batch slice per
-    # leading index of a (G, N, M) array: gemv rounds a row by its place in
-    # the call, so a call per block would change the bits
+    # broadcast array, written into one array.  bvn_cdf's values at the
+    # regular pairs have the bits of one call over the whole array, in C
+    # order with one batch slice per leading index of a (G, N, M) array:
+    # gemv rounds the last rows of a call by their place in it, so a call
+    # per block would change the bits.  A square Gram whose two points' m
+    # agree in every bit evaluates each mirrored pair once
     ops = (s1, s2, rho, t1, t2)
-    full = np.broadcast_arrays(*ops)
-    regular = ~(np.sqrt((1.0 - full[2]) * (1.0 + full[2])) < SIN_THETA_TOL)
-    at_regular = [np.empty(0)] * 4  # m1, m2, rho and Phi2 of regular pairs
+    shape = np.broadcast(*ops).shape
+    m1, m2 = t1 / s1, t2 / s2
+    regular = ~(np.sqrt((1.0 - rho) * (1.0 + rho)) < SIN_THETA_TOL)
+    if np.shape(regular) != shape:
+        regular = np.broadcast_to(regular, shape)
+    per_point = (m1, m2) + (None,) * 5
     if regular.any():
-        h, k, r = ((full[3] / full[0])[regular], (full[4] / full[1])[regular],
-                   full[2][regular])
-        slices = regular.nonzero()[0] if regular.ndim == 3 else None
-        at_regular = [h, k, r, bvn_cdf(h, k, r, _slices=slices)]
-    out = np.empty(regular.shape)
-    at = 0
-    for idx in _row_blocks(regular.shape, _PAIR_BLOCK):
-        reg = regular[idx]
-        n = at + np.count_nonzero(reg)
-        out[idx] = moment(*[_part(v, idx) for v in ops], _abs_moment(
-            *[v[idx] for v in full], reg, *[v[at:n] for v in at_regular]))
-        at = n
+        n = shape[0] if len(shape) == 2 else -1
+        if np.shape(rho) == shape and np.shape(m1) == (n, 1) \
+                and np.shape(m2) == (1, n) and np.array_equal(
+                    m1.view(np.int64).ravel(), m2.view(np.int64).ravel()):
+            phi2 = _mirrored_bvn_cdf(m2.ravel(), np.asarray(rho, dtype=float),
+                                     regular)
+        else:
+            vals = bvn_cdf(_at(m1, regular), _at(m2, regular),
+                           _at(rho, regular), _slices=regular.nonzero()[0]
+                           if len(shape) == 3 else None)
+            phi2 = np.zeros(shape)
+            phi2[regular] = vals
+            del vals
+        per_point = (m1, m2, phi2, std_normal_cdf(m1), std_normal_cdf(m2),
+                     std_normal_pdf(m1), std_normal_pdf(m2))
+    out = np.empty(shape)
+    for idx in _row_blocks(shape, _PAIR_BLOCK):
+        parts = [_part(v, idx) for v in ops]
+        out[idx] = moment(*parts, _abs_moment(
+            *parts[:3], regular[idx], *(_part(v, idx) for v in per_point)))
     return out
 
 

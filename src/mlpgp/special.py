@@ -31,6 +31,9 @@ _INV_2PI = 1.0 / (2.0 * np.pi)
 # correlations within this distance of +-1 are treated as exactly degenerate
 DEGENERATE_RHO_TOL = 1e-15
 
+# |rho| beyond this takes the strong-correlation branch of bvn_cdf
+STRONG_RHO = 0.925
+
 # 20-point Gauss-Legendre rule on [-1, 1] (half table; nodes are symmetric)
 _GL20_X = np.array([
     0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
@@ -89,11 +92,12 @@ def bvn_pdf(h, k, rho):
 def _gl_sum(n, slices):
     # n rows in blocks of about QUAD_ROWS, as (rows, gl_sum) pairs: gl_sum
     # forms the Gauss-Legendre sums of the block's (rows, 20) quadrature values
-    # by gemv while they are in cache.  OpenBLAS gemv rounds a row by its place
-    # in the call's 4-row groups, and numpy sends a 1-row product to dot, so a
-    # batch slice is cut only at multiples of 4 from its start and never one
-    # row before its end: every row keeps the bits of one gemv per slice
-    # (Owen's T, with no quadrature, would delete this).
+    # by gemv while they are in cache.  OpenBLAS gemv gives a row of a full
+    # 4-row group the same bits wherever it sits, but the last n mod 4 rows of
+    # a call other bits, and numpy sends a 1-row product to dot, which rounds
+    # differently again.  So a batch slice is cut only at multiples of 4 from
+    # its start and never one row before its end: every row keeps the bits of
+    # one gemv per slice (Owen's T, with no quadrature, would delete this).
     starts = [0] if slices is None else \
         [0, *(np.flatnonzero(np.diff(slices)) + 1).tolist()]
     cuts = []
@@ -184,7 +188,7 @@ def bvn_cdf(h, k, rho, *, _slices=None):
 
     deg_pos = rho >= 1.0 - DEGENERATE_RHO_TOL
     deg_neg = rho <= -(1.0 - DEGENERATE_RHO_TOL)
-    strong = (np.abs(rho) > 0.925) & ~deg_pos & ~deg_neg
+    strong = (np.abs(rho) > STRONG_RHO) & ~deg_pos & ~deg_neg
     moderate = ~(deg_pos | deg_neg | strong)
 
     if deg_pos.any():

@@ -432,9 +432,10 @@ def test_kernel_matrix_batch_equals_slices():
 def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
     # the Grams and diagonals of batched and unbatched calls keep their bits
     # at every quadrature block size and pair block size: 1 row, a few rows
-    # and the whole array.  An 84-point Gram sends up to 7,056 rows per
-    # layer to bvn_cdf (14,112 for a batch of two), so a branch fills more
-    # than one quadrature block at the default size.  Its antipodal rows,
+    # and the whole array.  A batch of two 84-point Grams sends up to 14,112
+    # rows per layer to bvn_cdf, so a branch fills more than one quadrature
+    # block at the default size; an unbatched one evaluates each mirrored
+    # pair once, and sends fewer than 4,096.  Its antipodal rows,
     # and Xs's copies of X's rows, put pairs on the colinear branch at
     # rho = -1 and +1, and the ridge nets put pairs on the strong and
     # moderate branches.  bvn_cdf's own degenerate branch lies inside the
@@ -447,7 +448,8 @@ def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
     rhos = []
 
     def spy(h, k, rho, *, real=special.bvn_cdf, **kw):
-        rhos.append(np.abs(rho))
+        if kw.get("_slices") is not None:  # a batched call's rows
+            rhos.append(np.abs(rho))
         return real(h, k, rho, **kw)
 
     monkeypatch.setattr(kernels, "bvn_cdf", spy)
@@ -463,9 +465,6 @@ def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
     slopes = (0.0, 0.3, -0.5)
     want = {a: [evaluate(ridge(a, m, s)) for m, s in zip(mus, sigmas)]
             for a in slopes}
-    strong = [r > 0.925 for r in rhos]
-    assert any(s.any() for s in strong)
-    assert max(np.count_nonzero(~s) for s in strong) > special.QUAD_ROWS
     for rows, entries in ((4, 1), (8, 3 * len(X)), (12, 2 ** 62),
                           (special.QUAD_ROWS, kernels._PAIR_BLOCK)):
         monkeypatch.setattr(special, "QUAD_ROWS", rows)
@@ -479,6 +478,9 @@ def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
                                   for m, s in zip(mus, sigmas)]):
                 for g, w in zip(got, want[a]):
                     assert all(np.array_equal(gi, wi) for gi, wi in zip(g, w))
+    strong = [r > 0.925 for r in rhos]
+    assert any(s.any() for s in strong)
+    assert max(np.count_nonzero(~s) for s in strong) > special.QUAD_ROWS
 
 
 def test_kernel_matrix_memory_is_bounded():
@@ -496,6 +498,107 @@ def test_kernel_matrix_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12 * K.nbytes
+
+
+def _one_call(monkeypatch, branches):
+    # square Grams take bvn_cdf over all of their regular pairs in one call,
+    # in C order, as batches and non-square Grams do; each call's strong and
+    # moderate row counts go to `branches`
+    def one_call(m, rho, regular):
+        r = rho[regular]
+        strong = np.count_nonzero(np.abs(r) > special.STRONG_RHO)
+        branches.append((strong, r.size - strong))
+        out = np.zeros(rho.shape)
+        out[regular] = kernels.bvn_cdf(kernels._at(m[:, None], regular),
+                                       kernels._at(m, regular), r)
+        return out
+
+    monkeypatch.setattr(kernels, "_mirrored_bvn_cdf", one_call)
+
+
+def _crafted_rho(n, rng):
+    # a symmetric moderate rho with strong pairs of either sign, then up to
+    # three single entries that break the symmetry: moved onto the moderate,
+    # strong or colinear branch, or 1 ulp toward 0 from their mirror
+    rho = rng.uniform(-0.9, 0.9, (n, n))
+    strong = rng.uniform(size=(n, n)) < 0.3
+    rho[strong] = rng.uniform(0.93, 0.999, strong.sum()) \
+        * rng.choice([-1.0, 1.0], strong.sum())
+    rho = np.tril(rho) + np.tril(rho, -1).T
+    np.fill_diagonal(rho, 1.0)
+    for _ in range(rng.integers(0, 4)):
+        i, j = rng.integers(0, n, 2)
+        rho[i, j] = rng.choice([0.5, 0.95, -0.95, np.nextafter(rho[i, j], 0.0),
+                                1.0, -1.0])
+    return rho
+
+
+def test_square_gram_evaluates_mirrored_pairs_once(monkeypatch):
+    # a square Gram evaluates bvn_cdf at the upper pairs and at the lower
+    # pairs that cannot copy their mirror, and keeps the bits of one call over
+    # every regular pair: on ridge circles at three slopes, and on crafted
+    # rho whose branches hold 1, 2 and 3 rows mod 4 and a single row (that
+    # row is a 1-row gemv, which numpy sends to dot)
+    X = circle_traversal(10, 60, 0)
+    slopes = (0.0, 0.3, -0.5)
+    nets = [NetworkHyper(a, 10, (LayerHyper(mu, np.sqrt(s2)),) * 5
+                         + (LayerHyper(0.0, 1.0),))
+            for a in slopes for mu, s2 in ((-1.05, 3.06), (-0.5, 2.0))]
+    rng = np.random.default_rng(12)
+    crafted = [(np.array([[1.0, 0.5, 0.3], [0.5, 0.95, -0.2],
+                          [0.3, -0.2, 1.0]]), np.array([0.8, 1.3, 0.6]),
+                np.array([-0.4, 0.9, 0.1]))]
+    for n in (1, 2, 3, 5, 6, 7, 9, 13) * 6:
+        crafted.append((_crafted_rho(n, rng), rng.uniform(0.5, 2.0, n),
+                        rng.normal(size=n)))
+
+    def evaluate():
+        rows = []
+
+        def counted(h, k, rho, *, real=special.bvn_cdf, **kw):
+            rows.append(np.size(h))
+            return real(h, k, rho, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "bvn_cdf", counted)
+            out = [kernel_matrix(X, X, net) for net in nets]
+            for a in slopes:
+                out += [f(s[:, None], s[None, :], rho, t[:, None], t[None, :])
+                        for rho, s, t in crafted
+                        for f in (abs_kernel, lambda *ops: lrelu_kernel(
+                            *ops, a))]
+        return out, sum(rows)
+
+    got, n_got = evaluate()
+    branches = []
+    _one_call(monkeypatch, branches)
+    want, n_want = evaluate()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert n_got < n_want
+    counts = [c for branch in branches for c in branch]
+    assert {c % 4 for c in counts} == {0, 1, 2, 3} and 1 in counts
+
+
+def test_square_gram_sends_at_most_65_percent_of_its_pairs_to_bvn_cdf(
+        monkeypatch):
+    # the prior draws' ridge Gram at depth 4: 56% of its regular pairs reach
+    # bvn_cdf, and it keeps the bits of one call over all of them
+    X = circle_traversal(10, 600, 0)
+    net = NetworkHyper(0.0, 10, (LayerHyper(-1.05, np.sqrt(3.06)),) * 3
+                       + (LayerHyper(0.0, 1.0),))
+    rows = []
+
+    def counted(h, k, rho, *, real=special.bvn_cdf, **kw):
+        rows.append(np.size(h))
+        return real(h, k, rho, **kw)
+
+    monkeypatch.setattr(kernels, "bvn_cdf", counted)
+    K = kernel_matrix(X, X, net)
+    n_rows = sum(rows)
+    branches = []
+    _one_call(monkeypatch, branches)
+    assert np.array_equal(K, kernel_matrix(X, X, net))
+    assert n_rows <= 0.65 * np.sum(branches)
 
 
 def test_kernel_matrix_batch_marks_vanished_slice():

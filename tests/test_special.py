@@ -110,7 +110,7 @@ def _block_case():
 
 
 def test_gl_sum_blocks_keep_the_bits_of_one_gemv_per_slice(monkeypatch):
-    # gemv rounds a row by its place in the call's 4-row groups, and a 1-row
+    # gemv rounds the last n mod 4 rows of a call by their place, and a 1-row
     # product goes to dot, so the blocks may cut a slice only at multiples of
     # 4 from its start and never one row before its end
     slices, sizes = _block_case()
@@ -125,6 +125,31 @@ def test_gl_sum_blocks_keep_the_bits_of_one_gemv_per_slice(monkeypatch):
                                     in special._gl_sum(slices.size, s)])
                     for s in (slices, None))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_gemv_rounds_by_place_only_in_tails_and_one_row_products():
+    # the rule that the quadrature blocks and kernels' mirrored square Grams
+    # rest on, on the installed BLAS: a row of a full 4-row group has the
+    # same gemv bits wherever it sits; the last n mod 4 rows of an n-row call
+    # have the bits of the same rows behind 4 zero rows (n >= 2); and a
+    # 1-row product goes to dot, whose bits that padded call need not have
+    # (here about half of them differ), so a 1-row branch is evaluated alone
+    rng = np.random.default_rng(8)
+    w = special._GL_WEIGHTS
+    for n in [*range(2, 40), 4093, 4094, 4095, 4096]:
+        vals = np.exp(rng.normal(size=(n, 20)))
+        want = vals @ w
+        perm = rng.permutation(n)
+        got = np.empty(n)
+        got[perm] = vals[perm] @ w
+        full = n - n % 4
+        grouped = (np.arange(n) < full) & (np.argsort(perm) < full)
+        assert np.array_equal(got[grouped], want[grouped])
+        padded = np.concatenate((np.zeros((4, 20)), vals[full:])) @ w
+        assert np.array_equal(padded[4:], want[full:])
+    vals = np.exp(rng.normal(size=(500, 20)))
+    assert np.array_equal([(v[None] @ w)[0] for v in vals],
+                          [v @ w for v in vals])
 
 
 @pytest.mark.parametrize("strong", [False, True], ids=["moderate", "strong"])
