@@ -71,6 +71,11 @@ ArrayLike = Union[float, np.ndarray]
 # below this sin(theta), the absolute-value moment switches to its exact
 # |rho| = 1 limit; the deep recursion drives rho -> 1, so this is a hot path
 SIN_THETA_TOL = 1e-7
+# the least double whose correctly rounded root reaches SIN_THETA_TOL: sqrt
+# is monotone, so sin^2 theta < it exactly when sin theta < SIN_THETA_TOL
+_SIN2_THETA_TOL = np.nextafter(SIN_THETA_TOL ** 2, 1.0)
+while np.sqrt(np.nextafter(_SIN2_THETA_TOL, 0.0)) >= SIN_THETA_TOL:
+    _SIN2_THETA_TOL = np.nextafter(_SIN2_THETA_TOL, 0.0)
 
 # second moments below this are treated as a vanished signal
 VANISHED_TOL = 1e-300
@@ -294,7 +299,10 @@ def _pair_blocks(moment, s1, s2, rho, t1, t2):
     ops = (s1, s2, rho, t1, t2)
     shape = np.broadcast(*ops).shape
     m1, m2 = t1 / s1, t2 / s2
-    regular = ~(np.sqrt((1.0 - rho) * (1.0 + rho)) < SIN_THETA_TOL)
+    # the pairs with sin theta >= SIN_THETA_TOL, or NaN, with no sqrt; it
+    # needs the |rho| <= 1 that every caller keeps, as checked by
+    # tests/test_kernels.py::test_moment_maps_receive_clipped_rho
+    regular = ~((1.0 - rho) * (1.0 + rho) < _SIN2_THETA_TOL)
     if np.shape(regular) != shape:
         regular = np.broadcast_to(regular, shape)
     per_point = (m1, m2) + (None,) * 5

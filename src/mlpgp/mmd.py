@@ -1,6 +1,7 @@
 """Unbiased MMD^2 between finite-width network outputs and limiting-GP draws."""
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,6 +143,38 @@ CHUNK_BYTES = 2 ** 27
 # float32 weights filled and multiplied at a time, the 2 MB L2 per core (as
 # special.QUAD_ROWS): it sets only the sampler's memory, never its outputs
 SLAB_BYTES = 2 ** 21
+# raw SFC64 words drawn at a time by _uniform_fill: 256 kB, so the uint64
+# temporary stays in L2 beside the slab and adds nothing to peak memory
+RAW_WORDS = 2 ** 15
+
+
+def _uniform_fill(rng, out):
+    """rng.random(out=out, dtype=np.float32) from raw words, bit for bit.
+
+    out is a C-contiguous float32 array and rng a Generator on SFC64.  Its
+    float32 uniforms are (u >> 8) 2^-24 for the 32-bit halves u of each
+    64-bit word, low half first, with an unused high half buffered in the
+    generator's state.  This fill forms them from random_raw's words at
+    about two thirds of Generator.random's cost per value (the shift, the
+    cast to float32 and the scaling by a power of two are exact).  A
+    buffered half goes first and the last word's one or two values come
+    last, both through Generator.random, so the generator ends in the
+    state that Generator.random would leave, in every field.
+    """
+    flat = out.reshape(-1)
+    bits = flat.view(np.uint32)
+    i = rng.bit_generator.state["has_uint32"]
+    rng.random(out=flat[:i], dtype=np.float32)
+    end = i + 2 * max(0, (flat.size - i - 1) // 2)
+    for j in range(i, end, 2 * RAW_WORDS):
+        part = slice(j, min(end, j + 2 * RAW_WORDS))
+        words = rng.bit_generator.random_raw((part.stop - j) // 2)
+        # little-endian halves, low first, on either byte order
+        np.right_shift(words.astype("<u8", copy=False).view("<u4"), 8,
+                       out=bits[part])
+        flat[part] = bits[part]
+        flat[part] *= np.float32(2.0 ** -24)
+    rng.random(out=flat[end:], dtype=np.float32)
 
 
 def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
@@ -159,7 +192,9 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
     SLAB_BYTES of them, into one buffer per layer shape.  A float32 fill
     split into consecutive calls continues the same stream, and the stacked
     matmul makes one product per sample, so SLAB_BYTES sets only the
-    memory: the outputs have the same bits for every slab size.
+    memory: the outputs have the same bits for every slab size.  The RCE
+    layers' uniforms come from _uniform_fill, which has the bits and the
+    stream position of Generator.random's float32 fill.
     """
     rng = np.random.Generator(np.random.SFC64(seed_seq))
     d_in = S.shape[1]
@@ -186,7 +221,7 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
             R = bufs[(n_i, n_o)]
             prior = layer_prior(scheme, l, depth)
             if isinstance(prior, IIDGaussian):
-                fill = rng.standard_normal
+                fill = partial(rng.standard_normal, dtype=np.float32)
                 c1 = np.float32(prior.sigma / np.sqrt(n_i))
                 col = prior.mu / n_i
             else:
@@ -198,7 +233,7 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
                 scale, shift = prior.affine(A, C)
                 scale = scale / np.sqrt(n_i)
                 shift = shift / n_i
-                fill = rng.random
+                fill = partial(_uniform_fill, rng)
                 # weight = scale*(2 sqrt3 u - sqrt3) + shift
                 c1 = 2.0 * sqrt3 * np.asarray(scale, dtype=np.float32)
                 col = shift - sqrt3 * np.asarray(scale)
@@ -207,7 +242,7 @@ def _mlp_samples(scheme, depth, width, S, n_samples, a, seed_seq):
             y = np.empty((m, n_probe, n_o), dtype=np.float32)
             for j in range(0, m, len(R)):
                 R_j = R[:m - j]
-                fill(out=R_j, dtype=np.float32)
+                fill(out=R_j)
                 np.matmul(h[j:j + len(R_j)], R_j, out=y[j:j + len(R_j)])
             y *= c1
             y += np.matmul(h, c2)

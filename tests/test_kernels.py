@@ -720,6 +720,24 @@ def test_moment_maps_receive_clipped_rho(monkeypatch):
     assert n_calls > 0
 
 
+def test_regular_mask_needs_no_square_root():
+    # sin^2 theta < _SIN2_THETA_TOL marks the pairs that sin theta <
+    # SIN_THETA_TOL marks: at the threshold's neighbours, on the rho that
+    # land near it, over all of [-1, 1], and at NaN
+    tol2 = kernels._SIN2_THETA_TOL
+    x = np.concatenate([tol2 + np.spacing(tol2) * np.arange(-2000, 2001),
+                        np.geomspace(1e-300, 1.0, 10001), [0.0, np.nan]])
+    assert np.array_equal(x < tol2, np.sqrt(x) < kernels.SIN_THETA_TOL)
+    edge = np.sqrt(1.0 - tol2)
+    rho = np.concatenate([edge + np.spacing(edge) * np.arange(-500, 501),
+                          np.linspace(-1.0, 1.0, 200001), [np.nan]])
+    rho = np.concatenate([rho, -rho])
+    rho = rho[~(np.abs(rho) > 1.0)]
+    s2 = (1.0 - rho) * (1.0 + rho)
+    assert np.array_equal(s2 < tol2, np.sqrt(s2) < kernels.SIN_THETA_TOL)
+    assert 0 < np.count_nonzero(s2 < tol2) < len(rho) - 1000
+
+
 def test_each_layer_maps_every_point_and_pair_once(monkeypatch):
     # a hidden LReLU layer makes one lrelu_kernel call for the points' own
     # second moments, one for the pairs' and one lrelu_mean call, whether Y

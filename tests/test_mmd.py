@@ -181,20 +181,71 @@ def test_mlp_samples_ignore_scheme_name(name):
 def test_mlp_samples_bits_do_not_depend_on_the_slab(monkeypatch, scheme, a):
     # one sample per slab, the default (ragged: 300 samples in slabs of 128
     # at width 64) and the whole chunk per slab all draw the same weights;
-    # a small chunk budget runs several chunks on every side
+    # a small chunk budget runs several chunks on every side.  At the odd
+    # width 33, a one-sample slab of 33^2 weights leaves a half-word
+    # buffered for the next fill
     S = np.random.default_rng(0).standard_normal((4, 10))
     default = mmd.SLAB_BYTES
 
-    def draw(slab_bytes):
+    def draw(width, slab_bytes):
         monkeypatch.setattr(mmd, "SLAB_BYTES", slab_bytes)
-        return _mlp_samples(scheme, 4, 64, S, 300, a,
+        return _mlp_samples(scheme, 4, width, S, 300, a,
                             np.random.SeedSequence(7)).tobytes()
 
-    for chunk_bytes in (mmd.CHUNK_BYTES, 2 ** 22):
-        monkeypatch.setattr(mmd, "CHUNK_BYTES", chunk_bytes)
-        want = draw(default)
-        assert draw(1) == want
-        assert draw(2 ** 40) == want
+    for width in (64, 33):
+        for chunk_bytes in (mmd.CHUNK_BYTES, 2 ** 22):
+            monkeypatch.setattr(mmd, "CHUNK_BYTES", chunk_bytes)
+            want = draw(width, default)
+            assert draw(width, 1) == want
+            assert draw(width, 2 ** 40) == want
+
+
+def _same_state(rng_a, rng_b):
+    # every field of two SFC64 states, the buffered half-word included
+    a, b = rng_a.bit_generator.state, rng_b.bit_generator.state
+    return (np.array_equal(a.pop("state")["state"], b.pop("state")["state"])
+            and a == b)
+
+
+@pytest.mark.parametrize("raw_words", [mmd.RAW_WORDS, 3])
+def test_uniform_fill_is_generator_random(monkeypatch, raw_words):
+    # the raw-word fill against numpy's float32 fill on a twin generator:
+    # the same bits, and the same state after each fill, through sequences
+    # that start and end fills on a buffered half-word, with float64 draws
+    # (which leave the buffered half alone) between the fills; 3 raw words
+    # at a time also cross many raw-draw blocks
+    monkeypatch.setattr(mmd, "RAW_WORDS", raw_words)
+    for sizes in ([1, 2, 3, 7, 1001, 4096], [3, 4096, 1, 1, 2, 7],
+                  [7, 1001, 2, 3, 2 ** 17 + 1, 4096, 1]):
+        want_rng = np.random.Generator(np.random.SFC64(11))
+        got_rng = np.random.Generator(np.random.SFC64(11))
+        for n in sizes:
+            want = np.empty((n, 1), dtype=np.float32)
+            got = np.full((n, 1), np.nan, dtype=np.float32)
+            want_rng.random(out=want, dtype=np.float32)
+            mmd._uniform_fill(got_rng, got)
+            assert got.view(np.uint32).tobytes() == \
+                want.view(np.uint32).tobytes()
+            assert _same_state(got_rng, want_rng)
+            assert got_rng.random() == want_rng.random()
+        assert _same_state(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f4"])
+@pytest.mark.parametrize("width", [16, 33])
+def test_mlp_samples_match_the_generator_fill(monkeypatch, name, width):
+    # the sampler with the raw-word fill has the bits of the same sampler
+    # filling its uniforms with Generator.random
+    S = np.random.default_rng(0).standard_normal((4, 10))
+
+    def draw():
+        return _mlp_samples(get_scheme(name), 4, width, S, 200, 0.3,
+                            np.random.SeedSequence(8)).tobytes()
+
+    got = draw()
+    monkeypatch.setattr(mmd, "_uniform_fill", lambda rng, out: rng.random(
+        out=out, dtype=np.float32))
+    assert got == draw()
 
 
 def test_mlp_samples_memory_is_bounded():
