@@ -64,12 +64,19 @@ def _dataset_arg(text: str) -> str:
         f"unknown dataset {text!r}; expected sine, xor or snelson:PATH")
 
 
+class _DatasetError(Exception):
+    """A Snelson file that cannot be read or parsed."""
+
+
 def _load_dataset(spec: str, seed: int) -> datamod.Dataset:
     if spec == "sine":
         return datamod.gen_sine(_subseed(seed, "dataset"))
     if spec == "xor":
         return datamod.gen_smooth_xor(_subseed(seed, "dataset"))
-    return datamod.load_snelson(spec.split(":", 1)[1])
+    try:
+        return datamod.load_snelson(spec.split(":", 1)[1])
+    except (OSError, ValueError) as exc:
+        raise _DatasetError(exc) from None
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -389,7 +396,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FactorizationError, VanishedSignalError) as exc:
+    except (FactorizationError, VanishedSignalError, _DatasetError) as exc:
         print(f"mlpgp {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

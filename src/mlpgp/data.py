@@ -80,7 +80,7 @@ def gen_smooth_xor(seed: int) -> Dataset:
 def load_snelson(path) -> Dataset:
     """Load the 200-pair Snelson data and split 10 train / 190 test.
 
-    The file must hold 200 whitespace-separated (x, y) rows.  Rows are
+    The file must hold 200 whitespace-separated finite (x, y) rows.  Rows are
     sorted by x and the training set takes 10 equally spaced ranks
     (endpoints included); the split is deterministic.
     """
@@ -95,10 +95,13 @@ def load_snelson(path) -> Dataset:
                 raise ValueError(
                     f"{path}: line {lineno}: expected two columns, got {len(parts)}")
             try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite([x, y]).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            xs.append(x)
+            ys.append(y)
     if len(xs) != SNELSON_ROWS:
         raise ValueError(
             f"{path}: expected {SNELSON_ROWS} rows, found {len(xs)}")

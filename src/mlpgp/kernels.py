@@ -18,28 +18,17 @@ points through (N, 1) and (1, M) views, so each layer maps every point's
 moments once and every pair's once.  A hidden layer's pre-activation has
 s = sigma sqrt(k), means mu m and, for pair (i, j), rho = k_xy /
 sqrt(k_i k_j).  A batch of G nets (`LayerHyper` values of shape (G, 1, 1))
-puts G in front of every shape; `bvn_cdf` cuts its quadrature blocks so that
-each slice keeps the bits of its own call.  With non-zero means the kernel is
-not a function of the input angle alone, so normalised angles are never stored
-internally.
+puts G in front of every shape, and each slice keeps the bits of its own
+call.  With non-zero means the kernel is not a function of the input angle
+alone, so normalised angles are never stored internally.
 
 The moment maps form their elementwise terms (the linear, cross and absolute
 moments and their weighted sum) a block of `_PAIR_BLOCK` pair entries at a
 time, over the leading G and N axes, into one output array; calls of up to
 that many entries are one block.  Each point's m = t/s, Phi(m) and phi(m) are
 formed once per call, and the pairs read them by broadcasting.  The regular
-(off-colinear) pairs' Phi2 values have the bits of one `bvn_cdf` call over the
-whole layer, in C order.  Its quadrature is summed by OpenBLAS gemv, which
-gives a row of a full 4-row group the same bits wherever it sits; only the
-last n mod 4 rows of a call, and a 1-row product (numpy sends it to dot),
-round by their place.  So a call per block would change the bits of the rows
-it puts in a tail.  A square Gram of X with itself (one net) evaluates a lower
-pair only where it cannot copy its mirror's Phi2 (`_mirrored_bvn_cdf`), and
-evaluates each branch's whole-layer tail again: 59% of the regular pairs of
-the prior draws' 600-point depth-16 ridge Gram reach `bvn_cdf`.  A layer's
-pair-sized arrays are then the pairs' state (k_xy, divided into rho in
-place), the regular-pair mask, the Phi2 array and `bvn_cdf`'s inputs and
-output.
+(off-colinear) pairs' Phi2 is one `special._bvn_cdf_at` call per layer, which
+keeps the bits of one `bvn_cdf` call per Gram (see `special` for why).
 """
 
 import math
@@ -49,7 +38,7 @@ from typing import Tuple, Union
 import numpy as np
 from scipy.special import erf
 
-from .special import (_SQRT2, STRONG_RHO, bvn_cdf, bvn_pdf, std_normal_cdf,
+from .special import (_SQRT2, _bvn_cdf_at, bvn_pdf, std_normal_cdf,
                       std_normal_pdf)
 
 __all__ = [
@@ -245,57 +234,11 @@ def _part(v, idx):
     return v[tuple(i if n > 1 else slice(None) for i, n in zip(sel, v.shape))]
 
 
-def _mirrored_bvn_cdf(m, rho, regular):
-    # Phi2(m_i, m_j; rho_ij) at the regular pairs of a square (N, N) Gram, as
-    # an (N, N) array with the bits of one bvn_cdf call over all of them in C
-    # order.  A lower pair whose rho has its mirror's bits (so the mirror is
-    # regular too) has the mirror's quadrature values and copies its Phi2,
-    # except on the strong branch at rho < 0, where Phi(h) - pos is not
-    # symmetric.  gemv gives a row of a full 4-row group the same bits
-    # wherever it sits, the last n mod 4 rows of a call other bits, and a
-    # 1-row call (dot) others again.  So each branch's evaluated rows are
-    # padded to whole groups with dummies (h = k = 0 at a rho of the branch),
-    # and after the copy the last n_b mod 4 of the branch's n_b rows in the
-    # whole layer are evaluated again as the call's tail; a branch of one row
-    # is that row alone
-    n = len(m)
-    copy = np.tri(n, k=-1, dtype=bool)
-    copy &= regular
-    copy &= rho >= -STRONG_RHO
-    copy &= rho.view(np.int64) == rho.T.view(np.int64)
-    need = regular ^ copy
-    strong = np.abs(rho) > STRONG_RHO
-    strong &= regular
-    tail, pads = [], []
-    for mask, dummy in ((strong, 0.95), (regular ^ strong, 0.5)):
-        count = np.count_nonzero(mask)
-        if count > 1:
-            tail += np.flatnonzero(mask)[count - count % 4:].tolist()
-            pads += [dummy] * (-np.count_nonzero(mask & need) % 4)
-    del strong
-    n_need = np.count_nonzero(need)
-    i, j = np.divmod(np.array(tail, dtype=np.intp), n)
-    dummies = np.zeros(len(pads))
-    h = np.concatenate((_at(m[:, None], need), dummies, m[i]))
-    k = np.concatenate((_at(m, need), dummies, m[j]))
-    r = np.concatenate((rho[need], pads, rho[i, j]))
-    phi2 = bvn_cdf(h, k, r)
-    del h, k, r
-    out = np.zeros((n, n))
-    out[need] = phi2[:n_need]
-    out[copy] = out.T[copy]
-    out[i, j] = phi2[n_need + len(pads):]
-    return out
-
-
 def _pair_blocks(moment, s1, s2, rho, t1, t2):
     # moment(s1, s2, rho, t1, t2, E|G1||G2|) of each row block of the pairs'
-    # broadcast array, written into one array.  bvn_cdf's values at the
-    # regular pairs have the bits of one call over the whole array, in C
-    # order with one batch slice per leading index of a (G, N, M) array:
-    # gemv rounds the last rows of a call by their place in it, so a call
-    # per block would change the bits.  A square Gram whose two points' m
-    # agree in every bit evaluates each mirrored pair once
+    # broadcast array, written into one array.  The regular pairs' Phi2 is
+    # one _bvn_cdf_at call over the whole array: a call per block would
+    # change the bits of the rows it puts in a call's tail
     ops = (s1, s2, rho, t1, t2)
     shape = np.broadcast(*ops).shape
     m1, m2 = t1 / s1, t2 / s2
@@ -307,20 +250,8 @@ def _pair_blocks(moment, s1, s2, rho, t1, t2):
         regular = np.broadcast_to(regular, shape)
     per_point = (m1, m2) + (None,) * 5
     if regular.any():
-        n = shape[0] if len(shape) == 2 else -1
-        if np.shape(rho) == shape and np.shape(m1) == (n, 1) \
-                and np.shape(m2) == (1, n) and np.array_equal(
-                    m1.view(np.int64).ravel(), m2.view(np.int64).ravel()):
-            phi2 = _mirrored_bvn_cdf(m2.ravel(), np.asarray(rho, dtype=float),
-                                     regular)
-        else:
-            vals = bvn_cdf(_at(m1, regular), _at(m2, regular),
-                           _at(rho, regular), _slices=regular.nonzero()[0]
-                           if len(shape) == 3 else None)
-            phi2 = np.zeros(shape)
-            phi2[regular] = vals
-            del vals
-        per_point = (m1, m2, phi2, std_normal_cdf(m1), std_normal_cdf(m2),
+        per_point = (m1, m2, _bvn_cdf_at(m1, m2, rho, regular),
+                     std_normal_cdf(m1), std_normal_cdf(m2),
                      std_normal_pdf(m1), std_normal_pdf(m2))
     out = np.empty(shape)
     for idx in _row_blocks(shape, _PAIR_BLOCK):

@@ -303,6 +303,8 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
     widths = tuple(int(w) for w in widths)
     if any(b < a_ for a_, b in zip(widths, widths[1:])):
         raise ValueError("widths must be nondecreasing")
+    if any(w < 1 for w in widths):
+        raise ValueError("widths must be >= 1")
     if depth < 2:
         raise ValueError("need depth >= 2 for a hidden layer")
     if n_samples < 2:

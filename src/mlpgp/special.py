@@ -4,13 +4,22 @@ All functions accept scalars or numpy arrays, broadcast elementwise and
 return numpy values (a 0-d array or numpy scalar for scalar input).  The
 bivariate CDF follows the Drezner-Wesolowsky/Genz algorithm: Gauss-Legendre
 quadrature on the single-integral form, with the usual change of variable for
-correlations beyond 0.925.  Each branch runs over blocks of about
-`QUAD_ROWS` rows: a block gathers its h, k and rho through the branch's
-index array, forms its quadrature values and every other term, sums the
-quadrature by gemv and writes its rows of the output.  So the n-length
-arrays it makes are its output, the branch masks and one branch's indices,
-and each row has the bits of one gemv per batch slice whatever the block
-size.
+correlations beyond 0.925.
+
+Its quadrature is summed by OpenBLAS gemv, which gives a row of a full 4-row
+group the same bits wherever it sits, but rounds the last n mod 4 rows of an
+n-row call by their place; numpy sends a 1-row product to dot, which rounds
+differently again.  So of a call's n rows on one branch, `bvn_cdf` sums the
+last n mod 4 behind 4 zero rows (a lone row alone) and the others by gemv in
+blocks of about `QUAD_ROWS` rows padded to whole 4-row groups: each value
+has the bits of one gemv over the branch's rows, whatever the block size.  A
+block gathers its h, k and rho and forms all of its terms, so the arrays of
+the call's size are its output, masks and indices.  The kernel recursion
+takes Phi2 at the masked pairs of a stack of Grams from `_bvn_cdf_at`, with
+the bits of one `bvn_cdf` call per Gram.  In a square Gram that mirrors
+itself, a lower pair whose rho has its mirror's bits copies the mirror's
+value, unless it is in a call's last n mod 4 rows or on the strong branch at
+rho < 0.  (Owen's T, with no quadrature, would delete this layout.)
 """
 
 import numpy as np
@@ -89,32 +98,10 @@ def bvn_pdf(h, k, rho):
     return np.exp(-quad) * _INV_2PI / np.sqrt(omr2)
 
 
-def _gl_sum(n, slices):
-    # n rows in blocks of about QUAD_ROWS, as (rows, gl_sum) pairs: gl_sum
-    # forms the Gauss-Legendre sums of the block's (rows, 20) quadrature values
-    # by gemv while they are in cache.  OpenBLAS gemv gives a row of a full
-    # 4-row group the same bits wherever it sits, but the last n mod 4 rows of
-    # a call other bits, and numpy sends a 1-row product to dot, which rounds
-    # differently again.  So a batch slice is cut only at multiples of 4 from
-    # its start and never one row before its end: every row keeps the bits of
-    # one gemv per slice (Owen's T, with no quadrature, would delete this).
-    starts = [0] if slices is None else \
-        [0, *(np.flatnonzero(np.diff(slices)) + 1).tolist()]
-    cuts = []
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        cuts += [lo, *range(lo + QUAD_ROWS, hi - 1, QUAD_ROWS)]
-    cuts.append(n)
-    blocks, i = [], 0
-    while i < len(cuts) - 1:
-        j = i + 1
-        while j + 1 < len(cuts) and cuts[j + 1] - cuts[i] <= QUAD_ROWS:
-            j += 1
-        segs = [slice(lo - cuts[i], hi - cuts[i])
-                for lo, hi in zip(cuts[i:j], cuts[i + 1:j + 1])]
-        blocks.append((slice(cuts[i], cuts[j]), lambda vals, segs=segs:
-                       np.concatenate([vals[s] @ _GL_WEIGHTS for s in segs])))
-        i = j
-    return blocks
+def _bvn_cdf_degenerate(h, k, rho, gl_sum):
+    # the exact limits at rho = +-1
+    return np.where(rho > 0, std_normal_cdf(np.minimum(h, k)), np.maximum(
+        0.0, std_normal_cdf(h) + std_normal_cdf(k) - 1.0))
 
 
 def _bvn_cdf_moderate(h, k, rho, gl_sum):
@@ -168,44 +155,113 @@ def _bvn_cdf_strong(h, k, rho, gl_sum):
     return np.where(sign > 0, pos, std_normal_cdf(h) - pos)
 
 
-def bvn_cdf(h, k, rho, *, _slices=None):
+def _stacked_gl_sum(segs):
+    # gl_sum of a block whose rows are those of segs in order: each seg is a
+    # (calls, rows) index array and the zero rows put in front of each call,
+    # and its (calls, zeros + rows, 20) stack is one product per call
+    def gl_sum(vals):
+        sums, lo = [], 0
+        for idx, pad in segs:
+            v = vals[lo:lo + idx.size].reshape(*idx.shape, -1)
+            lo += idx.size
+            if pad:
+                v = np.concatenate((np.zeros((len(v), pad, v.shape[2])), v), 1)
+            sums.append((v @ _GL_WEIGHTS)[:, pad:].ravel())
+        return np.concatenate(sums)
+    return gl_sum
+
+
+def _copies(h, k, rho, mask):
+    # the lower entries of mask that take their mirror's Phi2: in a square
+    # slice where h and k are bitwise transposes of each other, a pair whose
+    # mirror is masked and has its rho's bits, off the strong branch at
+    # rho < 0, where Phi(h) - pos is not symmetric
+    n = mask.shape[-1]
+    if n != mask.shape[-2]:
+        return np.zeros(mask.shape, bool)
+    h, k, bits = (v.view(np.int64) for v in (h, k, rho))
+    copy = mask & (np.arange(n)[:, None] > np.arange(n))
+    copy &= (h == np.swapaxes(k, -1, -2)).all((-2, -1), keepdims=True)
+    copy &= np.swapaxes(mask, -1, -2)
+    copy &= rho >= -STRONG_RHO
+    copy &= bits == np.swapaxes(bits, -1, -2)
+    return copy
+
+
+def _gather(v, i):
+    # v's values at the index arrays i of the array it broadcasts to
+    if v.size == 1:
+        return np.full(i[0].shape, v.flat[0])
+    return v[tuple(j if n > 1 else 0 for j, n in zip(i[len(i) - v.ndim:],
+                                                     v.shape))]
+
+
+def _bvn_cdf_at(h, k, rho, mask):
+    # Phi2(h, k; rho) at the True entries of mask, and 0 elsewhere, with the
+    # bits of one bvn_cdf call per leading slice (all but the last two axes)
+    # over that slice's masked entries in C order; h, k and rho broadcast to
+    # mask's shape, and |rho| <= 1 at its entries
+    shape = np.shape(mask)
+    h, k, rho, mask = np.atleast_2d(h, k, rho, mask)
+    out = np.zeros(mask.shape)
+    copy = _copies(h, k, rho, mask)
+    degenerate = mask & ((rho >= 1.0 - DEGENERATE_RHO_TOL)
+                         | (rho <= -(1.0 - DEGENERATE_RHO_TOL)))
+    strong = mask & ((rho > STRONG_RHO) | (rho < -STRONG_RHO))
+    strong ^= degenerate
+    moderate = mask ^ strong
+    moderate ^= degenerate
+
+    # each branch of a slice is one call (see the module docstring): its
+    # last n mod 4 rows (key n mod 4) or lone row (key 4) are stacked with
+    # the other calls' of that key and never copied
+    for branch, rows in ((_bvn_cdf_degenerate, degenerate),
+                         (_bvn_cdf_strong, strong),
+                         (_bvn_cdf_moderate, moderate)):
+        at = np.flatnonzero(rows)
+        if not at.size:
+            continue
+        counts = rows.sum((-2, -1)).ravel()
+        ends = counts.cumsum()
+        keys = np.where(counts == 1, 4, counts % 4)
+        stacks = [(ends[keys == key, None] + np.arange(-(key % 4 or 1), 0),
+                   4 if key < 4 else 0) for key in set(keys.tolist()) - {0}]
+        pos = np.concatenate([at[:0]] + [p.ravel() for p, _ in stacks])
+        copy.ravel()[at[pos]] = False
+        keep = ~copy.ravel()[at]
+        keep[pos] = False
+        tails = [(at[p], pad) for p, pad in stacks]
+        full = at[keep]
+        del at, keep
+        parts = [full[lo:lo + QUAD_ROWS]
+                 for lo in range(0, full.size, QUAD_ROWS)]
+        blocks, size = [[]], 0
+        for seg in [(p[None], -p.size % 4) for p in parts] + tails:
+            if blocks[-1] and size + seg[0].size > QUAD_ROWS:
+                blocks.append([])
+                size = 0
+            blocks[-1].append(seg)
+            size += seg[0].size
+        for block in blocks:
+            i = np.unravel_index(np.concatenate(
+                [idx.ravel() for idx, _ in block]), mask.shape)
+            out[i] = branch(_gather(h, i), _gather(k, i), _gather(rho, i),
+                            _stacked_gl_sum(block))
+    if copy.any():
+        out[copy] = np.swapaxes(out, -1, -2)[copy]
+    return np.clip(out, 0.0, 1.0, out=out).reshape(shape)
+
+
+def bvn_cdf(h, k, rho):
     """P(Z1 <= h, Z2 <= k) for standard bivariate normals with correlation rho.
 
     Accurate to roughly 5e-15 away from |rho| = 1; correlations within 1e-15
-    of +-1 return the exact degenerate limit.  `_slices`, private to the
-    batched recursion, gives each 1-D entry its nondecreasing batch slice.
+    of +-1 return the exact degenerate limit.
     """
     h, k, rho = np.broadcast_arrays(np.asarray(h, dtype=float),
                                     np.asarray(k, dtype=float),
                                     np.asarray(rho, dtype=float))
     if (np.abs(rho) > 1.0).any():
         raise ValueError("correlation must lie in [-1, 1]")
-    shape = h.shape
-    h = h.ravel()
-    k = k.ravel()
-    rho = rho.ravel()
-    out = np.empty(h.shape)
-
-    deg_pos = rho >= 1.0 - DEGENERATE_RHO_TOL
-    deg_neg = rho <= -(1.0 - DEGENERATE_RHO_TOL)
-    strong = (np.abs(rho) > STRONG_RHO) & ~deg_pos & ~deg_neg
-    moderate = ~(deg_pos | deg_neg | strong)
-
-    if deg_pos.any():
-        out[deg_pos] = std_normal_cdf(np.minimum(h[deg_pos], k[deg_pos]))
-    if deg_neg.any():
-        lower = std_normal_cdf(h[deg_neg]) + std_normal_cdf(k[deg_neg]) - 1.0
-        out[deg_neg] = np.maximum(0.0, lower)
-
-    # each branch's blocks gather their rows through the branch's indices and
-    # do all of its work on them, so no branch copies a whole-array operand
-    for branch, mask in ((_bvn_cdf_strong, strong),
-                         (_bvn_cdf_moderate, moderate)):
-        if mask.any():
-            at = mask.nonzero()[0]
-            for rows, gl_sum in _gl_sum(
-                    at.size, None if _slices is None else _slices[at]):
-                i = at[rows]
-                out[i] = branch(h[i], k[i], rho[i], gl_sum)
-
-    return np.clip(out, 0.0, 1.0, out=out).reshape(shape)
+    return _bvn_cdf_at(h.reshape(1, -1), k.reshape(1, -1), rho.reshape(1, -1),
+                       np.ones((1, h.size), bool)).reshape(h.shape)

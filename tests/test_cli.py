@@ -298,3 +298,18 @@ def test_snelson_dataset_via_cli(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert np.isfinite(report["test_mse"])
+
+
+@pytest.mark.parametrize("text", [None, "1.0 2.0\n3.0\n", "nan 1.0\n"],
+                         ids=["missing", "one-column", "non-finite"])
+def test_bad_snelson_file_is_a_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "snelson.txt"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["fit", "--dataset", f"snelson:{path}", "--estimator", "map",
+               "--out", str(tmp_path / "fit.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlpgp fit: error: ") and str(path) in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "fit.json").exists()

@@ -125,6 +125,18 @@ def test_load_snelson_errors(tmp_path):
         load_snelson(notnum)
 
 
+@pytest.mark.parametrize("row", ["nan 1.0", "1.0 inf", "-inf 0.5"])
+def test_load_snelson_rejects_non_finite_values(tmp_path, row):
+    # a NaN or infinite x or y would only surface as -inf grid cells
+    path = tmp_path / "snelson.txt"
+    _write_snelson(path)
+    lines = path.read_text().splitlines()
+    lines[0] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: line 1: non-finite"):
+        load_snelson(path)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 1)), np.zeros(2), np.zeros((1, 1)), np.zeros(1))

@@ -429,30 +429,43 @@ def test_kernel_matrix_batch_equals_slices():
                           [zero_mean(s) for s in sigmas])
 
 
+def _count_blocks(monkeypatch):
+    # per _bvn_cdf_at call of the moment maps, the branch of each quadrature
+    # block it evaluates and the block's rows, as (name, rows) pairs
+    calls = []
+
+    def spy(*args, real=special._bvn_cdf_at):
+        calls.append([])
+        return real(*args)
+
+    def counted(name, real):
+        def branch(h, *rest):
+            calls[-1].append((name, h.size))
+            return real(h, *rest)
+        return branch
+
+    monkeypatch.setattr(kernels, "_bvn_cdf_at", spy)
+    for name in ("_bvn_cdf_strong", "_bvn_cdf_moderate"):
+        monkeypatch.setattr(special, name,
+                            counted(name, getattr(special, name)))
+    return calls
+
+
 def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
     # the Grams and diagonals of batched and unbatched calls keep their bits
     # at every quadrature block size and pair block size: 1 row, a few rows
-    # and the whole array.  A batch of two 84-point Grams sends up to 14,112
-    # rows per layer to bvn_cdf, so a branch fills more than one quadrature
-    # block at the default size; an unbatched one evaluates each mirrored
-    # pair once, and sends fewer than 4,096.  Its antipodal rows,
-    # and Xs's copies of X's rows, put pairs on the colinear branch at
-    # rho = -1 and +1, and the ridge nets put pairs on the strong and
-    # moderate branches.  bvn_cdf's own degenerate branch lies inside the
-    # colinear cutoff, so only direct calls reach it (test_special)
+    # and the whole array.  A batch of two 84-point Grams has up to 14,112
+    # regular pairs per layer and evaluates each mirrored pair once, so at
+    # the default size a branch fills more than one quadrature block.  Its
+    # antipodal rows, and Xs's copies of X's rows, put pairs on the colinear
+    # branch at rho = -1 and +1, and the ridge nets put pairs on the strong
+    # and moderate branches.  bvn_cdf's own degenerate branch lies inside
+    # the colinear cutoff, so only direct calls reach it (test_special)
     X = circle_traversal(10, 80, 0)
     X = np.concatenate((X, -X[:4]))
     Xs = np.concatenate((X[::7], -X[1::9],
                          np.random.default_rng(7).standard_normal((6, 10))))
     mus, sigmas = [-1.05, -0.5], np.sqrt([3.06, 2.0])
-    rhos = []
-
-    def spy(h, k, rho, *, real=special.bvn_cdf, **kw):
-        if kw.get("_slices") is not None:  # a batched call's rows
-            rhos.append(np.abs(rho))
-        return real(h, k, rho, **kw)
-
-    monkeypatch.setattr(kernels, "bvn_cdf", spy)
 
     def ridge(a, mu, sigma):
         return NetworkHyper(a, 10, (LayerHyper(mu, sigma),) * 5
@@ -465,10 +478,12 @@ def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
     slopes = (0.0, 0.3, -0.5)
     want = {a: [evaluate(ridge(a, m, s)) for m, s in zip(mus, sigmas)]
             for a in slopes}
+    calls = _count_blocks(monkeypatch)
     for rows, entries in ((4, 1), (8, 3 * len(X)), (12, 2 ** 62),
                           (special.QUAD_ROWS, kernels._PAIR_BLOCK)):
         monkeypatch.setattr(special, "QUAD_ROWS", rows)
         monkeypatch.setattr(kernels, "_PAIR_BLOCK", entries)
+        calls.clear()
         for a in slopes:
             (K, vanished), (Ks, vs), (kd, vd) = evaluate(
                 ridge(a, _batch(mus), _batch(sigmas)))
@@ -478,9 +493,11 @@ def test_kernel_matrix_keeps_its_bits_across_quadrature_blocks(monkeypatch):
                                   for m, s in zip(mus, sigmas)]):
                 for g, w in zip(got, want[a]):
                     assert all(np.array_equal(gi, wi) for gi, wi in zip(g, w))
-    strong = [r > 0.925 for r in rhos]
-    assert any(s.any() for s in strong)
-    assert max(np.count_nonzero(~s) for s in strong) > special.QUAD_ROWS
+    # at the default sizes: a call with both branches, and a branch of more
+    # than one block
+    names = [[name for name, _ in blocks] for blocks in calls]
+    assert any(len(set(n)) == 2 for n in names)
+    assert any(n.count(b) > 1 for n in names for b in set(n))
 
 
 def test_kernel_matrix_memory_is_bounded():
@@ -501,19 +518,36 @@ def test_kernel_matrix_memory_is_bounded():
 
 
 def _one_call(monkeypatch, branches):
-    # square Grams take bvn_cdf over all of their regular pairs in one call,
-    # in C order, as batches and non-square Grams do; each call's strong and
-    # moderate row counts go to `branches`
-    def one_call(m, rho, regular):
-        r = rho[regular]
-        strong = np.count_nonzero(np.abs(r) > special.STRONG_RHO)
-        branches.append((strong, r.size - strong))
-        out = np.zeros(rho.shape)
-        out[regular] = kernels.bvn_cdf(kernels._at(m[:, None], regular),
-                                       kernels._at(m, regular), r)
-        return out
+    # Grams take bvn_cdf over all of each slice's regular pairs in one call,
+    # in C order, with no copies; each slice's strong and moderate row counts
+    # go to `branches`
+    def one_call(h, k, rho, mask, real=special._bvn_cdf_at):
+        part = np.atleast_2d(mask)
+        r = np.abs(np.broadcast_to(rho, part.shape))
+        for p, rp in zip(part.reshape(-1, *part.shape[-2:]),
+                         r.reshape(-1, *part.shape[-2:])):
+            strong = np.count_nonzero(rp[p] > special.STRONG_RHO)
+            branches.append((strong, np.count_nonzero(p) - strong))
+        return real(h, k, rho, mask)
 
-    monkeypatch.setattr(kernels, "_mirrored_bvn_cdf", one_call)
+    monkeypatch.setattr(kernels, "_bvn_cdf_at", one_call)
+    monkeypatch.setattr(special, "_copies",
+                        lambda h, k, rho, mask: np.zeros(mask.shape, bool))
+
+
+def _evaluated_rows(monkeypatch):
+    # the rows that the quadrature branches evaluate, summed into rows[0]
+    rows = [0]
+
+    def counted(real):
+        def branch(h, *rest):
+            rows[0] += h.size
+            return real(h, *rest)
+        return branch
+
+    for name in ("_bvn_cdf_strong", "_bvn_cdf_moderate"):
+        monkeypatch.setattr(special, name, counted(getattr(special, name)))
+    return rows
 
 
 def _crafted_rho(n, rng):
@@ -534,16 +568,20 @@ def _crafted_rho(n, rng):
 
 
 def test_square_gram_evaluates_mirrored_pairs_once(monkeypatch):
-    # a square Gram evaluates bvn_cdf at the upper pairs and at the lower
-    # pairs that cannot copy their mirror, and keeps the bits of one call over
-    # every regular pair: on ridge circles at three slopes, and on crafted
-    # rho whose branches hold 1, 2 and 3 rows mod 4 and a single row (that
-    # row is a 1-row gemv, which numpy sends to dot)
+    # a square Gram evaluates Phi2 at the upper pairs and at the lower pairs
+    # that cannot copy their mirror, and keeps the bits of one call per
+    # slice over every regular pair: on ridge circles at three slopes,
+    # batched and not, and on crafted rho whose branches hold 1, 2 and 3
+    # rows mod 4 and a single row (that row is a 1-row gemv, which numpy
+    # sends to dot).  Each slice of the batch keeps its unbatched bits
     X = circle_traversal(10, 60, 0)
     slopes = (0.0, 0.3, -0.5)
-    nets = [NetworkHyper(a, 10, (LayerHyper(mu, np.sqrt(s2)),) * 5
-                         + (LayerHyper(0.0, 1.0),))
-            for a in slopes for mu, s2 in ((-1.05, 3.06), (-0.5, 2.0))]
+    ridges = ((-1.05, 3.06), (-0.5, 2.0))
+
+    def ridge(a, mu, s2):
+        return NetworkHyper(a, 10, (LayerHyper(mu, np.sqrt(s2)),) * 5
+                            + (LayerHyper(0.0, 1.0),))
+
     rng = np.random.default_rng(12)
     crafted = [(np.array([[1.0, 0.5, 0.3], [0.5, 0.95, -0.2],
                           [0.3, -0.2, 1.0]]), np.array([0.8, 1.3, 0.6]),
@@ -551,30 +589,32 @@ def test_square_gram_evaluates_mirrored_pairs_once(monkeypatch):
     for n in (1, 2, 3, 5, 6, 7, 9, 13) * 6:
         crafted.append((_crafted_rho(n, rng), rng.uniform(0.5, 2.0, n),
                         rng.normal(size=n)))
+    mus, sig2s = (_batch(v) for v in zip(*ridges))
 
     def evaluate():
-        rows = []
-
-        def counted(h, k, rho, *, real=special.bvn_cdf, **kw):
-            rows.append(np.size(h))
-            return real(h, k, rho, **kw)
-
         with monkeypatch.context() as m:
-            m.setattr(kernels, "bvn_cdf", counted)
-            out = [kernel_matrix(X, X, net) for net in nets]
+            rows = _evaluated_rows(m)
+            out = [kernel_matrix(X, X, ridge(a, *r))
+                   for a in slopes for r in ridges]
             for a in slopes:
                 out += [f(s[:, None], s[None, :], rho, t[:, None], t[None, :])
                         for rho, s, t in crafted
                         for f in (abs_kernel, lambda *ops: lrelu_kernel(
                             *ops, a))]
-        return out, sum(rows)
+            n_single = rows[0]
+            batched = [kernel_matrix(X, X, ridge(a, mus, sig2s))[0]
+                       for a in slopes]
+        return out, [K for Ks in batched for K in Ks], n_single, \
+            rows[0] - n_single
 
-    got, n_got = evaluate()
+    got, got_batched, n_got, nb_got = evaluate()
+    assert all(np.array_equal(g, w) for g, w in zip(got_batched, got))
     branches = []
     _one_call(monkeypatch, branches)
-    want, n_want = evaluate()
+    want, want_batched, n_want, nb_want = evaluate()
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert n_got < n_want
+    assert all(np.array_equal(g, w) for g, w in zip(want_batched, want))
+    assert n_got < n_want and nb_got < nb_want
     counts = [c for branch in branches for c in branch]
     assert {c % 4 for c in counts} == {0, 1, 2, 3} and 1 in counts
 
@@ -582,23 +622,17 @@ def test_square_gram_evaluates_mirrored_pairs_once(monkeypatch):
 def test_square_gram_sends_at_most_65_percent_of_its_pairs_to_bvn_cdf(
         monkeypatch):
     # the prior draws' ridge Gram at depth 4: 56% of its regular pairs reach
-    # bvn_cdf, and it keeps the bits of one call over all of them
+    # the quadrature, and it keeps the bits of one call over all of them
     X = circle_traversal(10, 600, 0)
     net = NetworkHyper(0.0, 10, (LayerHyper(-1.05, np.sqrt(3.06)),) * 3
                        + (LayerHyper(0.0, 1.0),))
-    rows = []
-
-    def counted(h, k, rho, *, real=special.bvn_cdf, **kw):
-        rows.append(np.size(h))
-        return real(h, k, rho, **kw)
-
-    monkeypatch.setattr(kernels, "bvn_cdf", counted)
-    K = kernel_matrix(X, X, net)
-    n_rows = sum(rows)
+    with monkeypatch.context() as m:
+        rows = _evaluated_rows(m)
+        K = kernel_matrix(X, X, net)
     branches = []
     _one_call(monkeypatch, branches)
     assert np.array_equal(K, kernel_matrix(X, X, net))
-    assert n_rows <= 0.65 * np.sum(branches)
+    assert rows[0] <= 0.65 * np.sum(branches)
 
 
 def test_kernel_matrix_batch_marks_vanished_slice():

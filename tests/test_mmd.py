@@ -332,6 +332,10 @@ def test_convergence_experiment_small():
     with pytest.raises(ValueError):
         convergence_experiment(get_scheme("f2"), 3, (8,), d_probe=0,
                                n_samples=10)
+    # a width below 1 has no hidden units (it divided by zero in the sampler)
+    with pytest.raises(ValueError, match="widths"):
+        convergence_experiment(get_scheme("f2"), 4, (0, 2), n_samples=20,
+                               n_perm=5)
 
 
 def test_convergence_experiment_random_hyper_scheme():

@@ -43,3 +43,32 @@ def test_demo_imports_resolve(demo):
             missing = [a.name for a in node.names
                        if not hasattr(module, a.name)]
             assert missing == [], (node.module, missing)
+
+
+
+def _names_read(tree):
+    # the names a module imports or reads, and its keywords to bvn_cdf
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Call) and "bvn_cdf" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            yield from (f"bvn_cdf({kw.arg}=)" for kw in node.keywords)
+
+
+def test_quadrature_layout_stays_in_special():
+    # how bvn_cdf lays its quadrature out over gemv calls is special's alone:
+    # no other module imports or reads its constants, or passes bvn_cdf a
+    # keyword
+    layout = {"STRONG_RHO", "QUAD_ROWS", "_GL_WEIGHTS"}
+    found = [(path.name, name)
+             for path in sorted(Path(mlpgp.__file__).parent.glob("*.py"))
+             if path.name != "special.py"
+             for name in _names_read(ast.parse(path.read_text()))
+             if name in layout or name.startswith("bvn_cdf(")]
+    assert found == []

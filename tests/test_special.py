@@ -99,36 +99,53 @@ def test_bvn_cdf_vectorized():
     assert abs(out[0] - std_normal_cdf(0.0) * std_normal_cdf(0.3)) < 1e-15
 
 
-def _block_case():
-    # slices of 1, 2 and 5 rows, one of QUAD_ROWS + 1 and one longer than
-    # 2 QUAD_ROWS, in an order that starts slices off the 4-row grid.  At
+def _block_case(rng):
+    # a (5, 64, 130) mask whose slices hold 1, 2 and 5 entries, one
+    # QUAD_ROWS + 1 and one more than 2 QUAD_ROWS, scattered in C order.  At
     # 12,302 rows one gemv has the same bits under 1 and 2 BLAS threads, so
     # one gemv per slice is a reference that does not depend on them.
     q = special.QUAD_ROWS
     lens = [q + 1, 1, 2 * q + 5, 2, 5]
-    return np.repeat(np.arange(len(lens)), lens), (4, 8, 12, q)
+    mask = np.zeros((len(lens), 64, 130), bool)
+    for part, n in zip(mask, lens):
+        part.flat[rng.choice(part.size, n, replace=False)] = True
+    return mask, (4, 8, 12, q)
 
 
 def test_gl_sum_blocks_keep_the_bits_of_one_gemv_per_slice(monkeypatch):
     # gemv rounds the last n mod 4 rows of a call by their place, and a 1-row
-    # product goes to dot, so the blocks may cut a slice only at multiples of
-    # 4 from its start and never one row before its end
-    slices, sizes = _block_case()
-    vals = np.exp(np.random.default_rng(2).normal(size=(slices.size, 20)))
-    cuts = np.flatnonzero(np.diff(slices)) + 1
-    want = (np.concatenate([v @ special._GL_WEIGHTS
-                            for v in np.split(vals, cuts)]),
-            vals @ special._GL_WEIGHTS)
+    # product goes to dot, so at every block size each entry's quadrature
+    # sum must have the bits of one gemv over its slice's rows in C order, or
+    # over all of them for a 2-D mask.  Each branch reads row h's values
+    rng = np.random.default_rng(2)
+    mask, sizes = _block_case(rng)
+    vals = rng.uniform(0.0, 0.05, (np.count_nonzero(mask), 20))
+    ids = np.zeros(mask.shape)
+    ids[mask] = np.arange(len(vals))
+    want = np.zeros(mask.shape)
+    for g, part in enumerate(mask):
+        want[g][part] = vals[ids[g][part].astype(int)] @ special._GL_WEIGHTS
+    whole = np.zeros(mask.shape)
+    whole[mask] = vals @ special._GL_WEIGHTS
+
+    def read(h, k, rho, gl_sum):
+        return gl_sum(vals[h.astype(int)])
+
+    for branch in ("_bvn_cdf_moderate", "_bvn_cdf_strong"):
+        monkeypatch.setattr(special, branch, read)
     for rows in sizes:
         monkeypatch.setattr(special, "QUAD_ROWS", rows)
-        got = tuple(np.concatenate([gl_sum(vals[block]) for block, gl_sum
-                                    in special._gl_sum(slices.size, s)])
-                    for s in (slices, None))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for rho in (0.5, 0.95):
+            assert np.array_equal(special._bvn_cdf_at(ids, 0.0, rho, mask),
+                                  want)
+            assert np.array_equal(
+                special._bvn_cdf_at(ids.reshape(-1, 130), 0.0, rho,
+                                    mask.reshape(-1, 130)),
+                whole.reshape(-1, 130))
 
 
 def test_gemv_rounds_by_place_only_in_tails_and_one_row_products():
-    # the rule that the quadrature blocks and kernels' mirrored square Grams
+    # the rule that the quadrature blocks and the mirrored square Grams
     # rest on, on the installed BLAS: a row of a full 4-row group has the
     # same gemv bits wherever it sits; the last n mod 4 rows of an n-row call
     # have the bits of the same rows behind 4 zero rows (n >= 2); and a
@@ -150,28 +167,52 @@ def test_gemv_rounds_by_place_only_in_tails_and_one_row_products():
     vals = np.exp(rng.normal(size=(500, 20)))
     assert np.array_equal([(v[None] @ w)[0] for v in vals],
                           [v @ w for v in vals])
+    # the stacked forms that bvn_cdf sums in: a (T, 1, 20) stack is T dots;
+    # a (T, 4 + t, 20) stack gives each call's t-row tail behind its 4 zero
+    # rows the bits of that call's tail; a (1, n, 20) stack is one gemv, so
+    # rows of full groups behind up to 3 zero rows keep their bits
+    assert np.array_equal((vals[:, None] @ w)[:, 0], [v @ w for v in vals])
+    calls = [np.exp(rng.normal(size=(n, 20)))
+             for n in rng.integers(2, 40, 900)]
+    for t in (1, 2, 3):
+        ends = [c[len(c) - t:] for c in calls if len(c) % 4 == t]
+        stack = np.concatenate((np.zeros((len(ends), 4, 20)), ends), 1)
+        assert np.array_equal((stack @ w)[:, 4:],
+                              [(c @ w)[-t:] for c in calls if len(c) % 4 == t])
+    for n in (4, 8, 36, 4096):
+        vals = np.exp(rng.normal(size=(n, 20)))
+        for pad in (1, 2, 3):
+            stack = np.concatenate((np.zeros((pad, 20)), vals[pad:]))[None]
+            assert np.array_equal((stack @ w)[0, pad:], (vals @ w)[pad:])
 
 
 @pytest.mark.parametrize("strong", [False, True], ids=["moderate", "strong"])
 def test_bvn_cdf_blocks_keep_the_bits_of_one_gemv_per_slice(monkeypatch,
                                                              strong):
-    slices, sizes = _block_case()
+    # each slice of a (G, N, M) mask has the bits of one bvn_cdf call over
+    # its entries, and a 2-D mask those of one call over all of them, at
+    # every block size
     rng = np.random.default_rng(3)
-    h, k = rng.normal(scale=2.0, size=(2, slices.size))
+    mask, sizes = _block_case(rng)
+    h, k = rng.normal(scale=2.0, size=(2, *mask.shape))
     if strong:
-        rho = rng.uniform(0.93, 0.999, slices.size) \
-            * rng.choice([-1.0, 1.0], slices.size)
+        rho = rng.uniform(0.93, 0.999, mask.shape) \
+            * rng.choice([-1.0, 1.0], mask.shape)
     else:
-        rho = rng.uniform(-0.92, 0.92, slices.size)
-
-    def evaluate(rows):
-        monkeypatch.setattr(special, "QUAD_ROWS", rows)
-        return bvn_cdf(h, k, rho), bvn_cdf(h, k, rho, _slices=slices)
-
-    want = evaluate(2 ** 20)
+        rho = rng.uniform(-0.92, 0.92, mask.shape)
+    want = np.zeros(mask.shape)
+    for g, part in enumerate(mask):
+        want[g][part] = bvn_cdf(h[g][part], k[g][part], rho[g][part])
+    whole = np.zeros(mask.shape)
+    whole[mask] = bvn_cdf(h[mask], k[mask], rho[mask])
+    flat = [v.reshape(-1, 130) for v in (h, k, rho, mask)]
     for rows in sizes:
-        for got, w in zip(evaluate(rows), want):
-            assert np.array_equal(got, w)
+        monkeypatch.setattr(special, "QUAD_ROWS", rows)
+        assert np.array_equal(special._bvn_cdf_at(h, k, rho, mask), want)
+        assert np.array_equal(special._bvn_cdf_at(*flat),
+                              whole.reshape(-1, 130))
+        assert np.array_equal(bvn_cdf(h[mask], k[mask], rho[mask]),
+                              whole[mask])
 
 
 def test_bvn_cdf_memory_stays_bounded():
