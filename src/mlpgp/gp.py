@@ -28,14 +28,18 @@ class FactorizationError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class GPModel:
-    """Limiting-network GP: kernel hyperparameters plus observation noise."""
+    """Limiting-network GP: kernel hyperparameters plus observation noise.
+
+    The noise variance must be non-negative and finite; the level-II entry
+    points of `hyper` check theirs by building a GPModel.
+    """
 
     net: NetworkHyper
     noise_var: float = 0.0
 
     def __post_init__(self):
-        if self.noise_var < 0.0:
-            raise ValueError("noise variance must be non-negative")
+        if not 0.0 <= self.noise_var < np.inf:
+            raise ValueError("noise variance must be non-negative and finite")
 
 
 @dataclass

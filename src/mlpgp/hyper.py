@@ -51,8 +51,9 @@ class HyperPrior:
 # correlation -0.9, roughly tracking the diagonal ridge of the target
 _PROPOSAL_OFF = -0.9 * math.sqrt(2.38 * 4.76)
 PROPOSAL_COV = np.array([[2.38, _PROPOSAL_OFF], [_PROPOSAL_OFF, 4.76]])
-# proposals `mh_sample` drafts and scores per kernel call; the chain is the
-# same for every value
+# steps `mh_sample` drafts per kernel call: the all-rejected path and, for
+# each of its proposals, the path that accepts it, at most 8 + 28 = 36 rows;
+# the chain is the same for every value
 PREFETCH = 8
 
 
@@ -183,36 +184,73 @@ def substitute_hyper(net_template: NetworkHyper, mu, sigma2) -> NetworkHyper:
                         tuple(layers), net_template.final_layer_linear)
 
 
-def _log_targets(X, y, net_template: NetworkHyper,
-                 prior: Optional[HyperPrior], noise_var: float, mu, sigma2):
-    """log p(y | mu, sigma^2) [+ log hyper-prior], jitter and vanished mask at
-    each point of the 1-D arrays mu, sigma2, by batched Grams; -inf, with
-    jitter 0, where sigma^2 <= 0 or mu or sigma^2 is not finite (rows left
-    unevaluated), the signal vanished, the Gram is not factorisable or the
-    value not finite.
+def _evaluated(mu, sigma2):
+    """Where the level-II target is evaluated: sigma^2 > 0 and mu and sigma^2
+    finite.  Elsewhere it is -inf, with jitter 0 and not vanished, without a
+    kernel call, and an MH proposal there draws no uniform.
+    """
+    return np.isfinite(mu) & (sigma2 > 0.0) & (sigma2 < np.inf)
+
+
+def _lazy_log_targets(X, y, net_template: NetworkHyper,
+                      prior: Optional[HyperPrior], noise_var: float, mu,
+                      sigma2) -> Callable:
+    """Row i -> (log p(y | mu, sigma^2) [+ log hyper-prior], jitter, vanished)
+    at (mu[i], sigma2[i]) of the 1-D arrays mu, sigma2; -inf, with jitter 0,
+    where `_evaluated` is false, the signal vanished, the Gram is not
+    factorisable or the value not finite.
+
+    The evaluated rows' Grams come a chunk at a time from one batched kernel
+    call, made when a row of the chunk is first asked for, so rows asked for
+    in increasing order compute each chunk at most once.  The likelihood and
+    the hyper-prior are computed only at the rows asked for.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    values = np.full(mu.size, -np.inf)
-    jitters = np.zeros(mu.size)
-    vanished = np.zeros(mu.size, bool)
-    rows = np.flatnonzero(np.isfinite(mu) & (sigma2 > 0.0) & (sigma2 < np.inf))
-    for chunk in _batch_slices(rows.size, X.shape[0] ** 2):
-        g = rows[chunk]
-        net = substitute_hyper(net_template, mu[g, None, None],
-                               sigma2[g, None, None])
+    evaluated = _evaluated(mu, sigma2)
+    rows = np.flatnonzero(evaluated)
+    position = np.cumsum(evaluated) - 1  # of each evaluated row in `rows`
+    chunks = _batch_slices(rows.size, X.shape[0] ** 2)
+    chunk, K, vanished = None, None, None  # the chunk last computed
+
+    def target(i):
+        nonlocal chunk, K, vanished
+        if not evaluated[i]:
+            return -np.inf, 0.0, False
+        k = position[i] // chunks[0].stop  # every chunk is that long
         with np.errstate(over="ignore", invalid="ignore"):
-            K, vanished[g] = kernel_matrix(X, X, net)
-            for i in np.flatnonzero(~vanished[g]):
-                try:
-                    lml, jit = _lml_from_gram(K[i], y, noise_var)
-                except (FactorizationError, FloatingPointError):
-                    continue
-                if np.isfinite(lml):
-                    if prior is not None:
-                        lml += hyper_prior_logpdf(mu[g[i]], sigma2[g[i]])
-                    values[g[i]], jitters[g[i]] = lml, jit
-    return values, jitters, vanished
+            if chunk != k:
+                g = rows[chunks[k]]
+                net = substitute_hyper(net_template, mu[g, None, None],
+                                       sigma2[g, None, None])
+                chunk = k
+                K, vanished = kernel_matrix(X, X, net)
+            j = position[i] - chunks[k].start
+            if vanished[j]:
+                return -np.inf, 0.0, True
+            try:
+                lml, jit = _lml_from_gram(K[j], y, noise_var)
+            except (FactorizationError, FloatingPointError):
+                return -np.inf, 0.0, False
+            if not np.isfinite(lml):
+                return -np.inf, 0.0, False
+            if prior is not None:
+                lml += hyper_prior_logpdf(mu[i], sigma2[i])
+        return lml, jit, False
+
+    return target
+
+
+def _log_targets(X, y, net_template: NetworkHyper,
+                 prior: Optional[HyperPrior], noise_var: float, mu, sigma2):
+    """Values, jitters and vanished mask of `_lazy_log_targets` at every
+    row, one batched kernel call per chunk.
+    """
+    target = _lazy_log_targets(X, y, net_template, prior, noise_var, mu,
+                               sigma2)
+    values, jitters, vanished = np.reshape(
+        [target(i) for i in range(mu.size)], (mu.size, 3)).T
+    return values, jitters, vanished.astype(bool)
 
 
 def gp_log_posterior(X, y, net_template: NetworkHyper,
@@ -222,9 +260,11 @@ def gp_log_posterior(X, y, net_template: NetworkHyper,
     Returns -inf for sigma^2 <= 0 and for hyperparameters where the Gram
     matrix cannot be factorised, so the result plugs straight into MH.
     """
+    GPModel(net_template, noise_var)  # rejects a bad noise variance
+
     def logp(theta) -> float:
-        return _log_targets(X, y, net_template, prior, noise_var,
-                            *np.array([theta], float).T)[0][0]
+        return _lazy_log_targets(X, y, net_template, prior, noise_var,
+                                 *np.array([theta], float).T)(0)[0]
 
     return logp
 
@@ -240,6 +280,7 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     """
     if target not in ("log-ml", "log-posterior"):
         raise ValueError("target must be 'log-ml' or 'log-posterior'")
+    GPModel(net_template, noise_var)  # rejects a bad noise variance
     prior = HyperPrior() if target == "log-posterior" else None
     mu_axis, sig2_axis = spec.axes()
     mu, sig2 = (a.ravel() for a in np.meshgrid(mu_axis, sig2_axis,
@@ -268,29 +309,40 @@ def random_walk_mh(log_density: Callable, init, config: MHConfig) -> Chain:
 
     Proposals landing where log_density is -inf are rejected outright.
     Runs burn_in + thin * n_samples iterations and is deterministic for a
-    fixed config.seed.
+    fixed config.seed.  log_density is called once per proposal the chain
+    makes, and on no other point.
     """
-    def log_densities(thetas):
-        return np.array([float(log_density(thetas[0]))])
+    def densities(thetas):
+        return lambda i: float(log_density(thetas[i]))
 
-    return _metropolis(log_densities, init, config, 1)
+    return _metropolis(densities, lambda theta: True, init, config, 1)
 
 
-def _metropolis(log_densities: Callable, init, config: MHConfig,
-                prefetch: int) -> Chain:
-    """The MH loop of `random_walk_mh`, scoring up to `prefetch` proposals
-    per `log_densities` call ((k, 2) points to k log densities).
+def _metropolis(densities: Callable, evaluated: Callable, init,
+                config: MHConfig, prefetch: int) -> Chain:
+    """The MH loop of `random_walk_mh`, walking a draft tree of up to
+    `prefetch` steps per `densities` call.
 
-    The next proposals are drafted as if each is rejected at a finite
-    density, so each draws its step and its uniform; the walk through them
-    stops at the first acceptance or non-finite density.  The generator then
-    takes the state saved at the last step taken (a non-finite density draws
-    no uniform), so the chain has the bits of one proposal per call.
+    densities maps the (k, 2) drafted points to a function of the row index
+    that returns its log density; the walk calls it once at each row it
+    visits, in increasing row order.  evaluated(theta) is false where the
+    density is -inf without an evaluation; such a proposal draws no uniform.
+
+    The draft's trunk takes the next steps as if every proposal is rejected.
+    For each evaluated trunk proposal, a branch takes the steps after
+    accepting it, every later proposal rejected: at most
+    prefetch (prefetch + 1) / 2 rows.  Each path draws its normals and
+    uniforms on from the generator state after its parent's uniform.  The
+    walk follows the trunk, turns onto a branch at its first acceptance, and
+    stops at the second acceptance or at an evaluated -inf density, whose
+    uniform the one-proposal loop would not draw.  The generator then takes
+    the state saved after the last step's last draw, or after its normals at
+    an evaluated -inf, so the chain has the bits of one proposal per call.
     """
     rng = np.random.default_rng(config.seed)
     L = np.linalg.cholesky(PROPOSAL_COV)
     current = np.asarray(init, dtype=float).copy()
-    cur_ld = log_densities(current[None])[0]
+    cur_ld = densities(current[None])(0)
     if not np.isfinite(cur_ld):
         raise ValueError("initial state has zero target density")
     total = config.burn_in + config.thin * config.n_samples
@@ -302,30 +354,50 @@ def _metropolis(log_densities: Callable, init, config: MHConfig,
     it = 0
     while it < total:
         drafted = min(prefetch, total - it)
-        props = np.empty((drafted, 2))
-        log_u = np.empty(drafted)
-        # generator states after each proposal's normals z and its uniform u
-        after_z, after_u = [], []
-        for j in range(drafted):
-            props[j] = current + L @ rng.standard_normal(2)
-            after_z.append(rng.bit_generator.state)
-            log_u[j] = np.log(rng.uniform())
-            after_u.append(rng.bit_generator.state)
-        for taken, ld in enumerate(log_densities(props), 1):
+        # per row: proposal, log uniform (nan where unevaluated) and the
+        # generator states after its normals and after its uniform (the same
+        # where unevaluated)
+        props, log_u, after_z, after_u = [], [], [], []
+
+        def draft(theta, steps):
+            # rows of `steps` rejections in a row from theta
+            for _ in range(steps):
+                props.append(theta + L @ rng.standard_normal(2))
+                after_z.append(rng.bit_generator.state)
+                log_u.append(np.log(rng.uniform()) if evaluated(props[-1])
+                             else np.nan)
+                after_u.append(rng.bit_generator.state)
+            return list(range(len(props) - steps, len(props)))
+
+        trunk = draft(current, drafted)
+        branch = {}
+        for j in trunk:
+            if not np.isnan(log_u[j]):
+                rng.bit_generator.state = after_u[j]
+                branch[j] = trunk[:j + 1] + draft(props[j], drafted - 1 - j)
+        log_density = densities(np.array(props))
+        path = trunk
+        for step in range(drafted):
+            r = path[step]
+            ld = log_density(r)
             it += 1
             finite = np.isfinite(ld)
-            accept = finite and log_u[taken - 1] < ld - cur_ld
+            accept = finite and log_u[r] < ld - cur_ld
             if accept:
-                current, cur_ld = props[taken - 1], ld
+                current, cur_ld = props[r], ld
                 accepted += 1
             n_neg_inf += not finite
             if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
                 samples[kept] = current
                 lds[kept] = cur_ld
                 kept += 1
-            if accept or not finite:
-                break
-        rng.bit_generator.state = (after_u if finite else after_z)[taken - 1]
+            if not (finite or np.isnan(log_u[r])):
+                break  # an evaluated -inf: its uniform is not the chain's
+            if accept:
+                if path is not trunk:
+                    break
+                path = branch[r]
+        rng.bit_generator.state = (after_u if finite else after_z)[r]
     return Chain(samples[:kept], lds[:kept], accepted / total, n_neg_inf)
 
 
@@ -335,13 +407,19 @@ def mh_sample(X, y, net_template: NetworkHyper, prior: HyperPrior,
     """Sample the hyper-posterior over (mu, sigma^2) by random-walk MH.
 
     init is typically the MAP over a grid_eval surface.  Each kernel call
-    scores the next PREFETCH proposals, with the chain of `random_walk_mh`
-    on `gp_log_posterior` in every bit.
+    scores a draft tree of the next PREFETCH steps, with the chain of
+    `random_walk_mh` on `gp_log_posterior` in every bit; the likelihood is
+    computed only at the proposals the chain makes.
     """
-    def log_densities(thetas):
-        return _log_targets(X, y, net_template, prior, noise_var, *thetas.T)[0]
+    GPModel(net_template, noise_var)  # rejects a bad noise variance
 
-    return _metropolis(log_densities, init, config, PREFETCH)
+    def densities(thetas):
+        target = _lazy_log_targets(X, y, net_template, prior, noise_var,
+                                   *thetas.T)
+        return lambda i: target(i)[0]
+
+    return _metropolis(densities, lambda theta: _evaluated(*theta), init,
+                       config, PREFETCH)
 
 
 def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
@@ -355,7 +433,7 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
     """
     if len(chain) == 0:
         raise ValueError("chain is empty")
-    GPModel(net_template, noise_var)  # rejects a negative noise variance
+    GPModel(net_template, noise_var)  # rejects a bad noise variance
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)

@@ -167,6 +167,14 @@ def test_log_marginal_likelihood_duplicate_point_reproducible():
     assert abs(first / (len(y)) - base / len(ds.y_train)) < 1.0
 
 
+def test_gp_model_rejects_a_bad_noise_variance():
+    net = _simple_net()
+    for noise_var in (-1e-3, -np.inf, np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            GPModel(net, noise_var)
+    assert GPModel(net, 0.0).noise_var == 0.0
+
+
 def test_factorization_error_on_bad_matrix():
     net = _simple_net(dim=1)
     X = np.array([[1.0], [1.0]])  # duplicate rows, zero noise

@@ -206,6 +206,30 @@ def test_log_targets_leaves_invalid_points_unevaluated(monkeypatch):
             mh_sample(*args[:4], MHConfig(), init, 0.1)
 
 
+def test_level_two_entry_points_reject_a_bad_noise_variance(monkeypatch):
+    # grid_eval, gp_log_posterior, mh_sample and marginal_predictive share
+    # GPModel's rule, and apply it before any kernel call
+    ds = gen_smooth_xor(0)
+    deep = NetworkHyper(0.0, 2, (LayerHyper(0.0, 1.0),) * 4, True)
+    X, y = ds.X_train, ds.y_train
+    chain = Chain(np.array([[-0.5, 2.0]]), np.zeros(1), 1.0)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel call")
+
+    monkeypatch.setattr(hyper, "kernel_matrix", no_kernel)
+    entry_points = (
+        lambda nv: grid_eval(X, y, deep, GridSpec(resolution=5), "log-ml", nv),
+        lambda nv: gp_log_posterior(X, y, deep, HyperPrior(), nv),
+        lambda nv: mh_sample(X, y, deep, HyperPrior(), MHConfig(),
+                             (-0.5, 2.0), nv),
+        lambda nv: marginal_predictive(ds.X_test, X, y, deep, chain, nv))
+    for call in entry_points:
+        for noise_var in (-1.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                call(noise_var)
+
+
 def test_grid_constrained_max_tracks_stable_ridge():
     # for deeper nets the mu = 0 evidence maximum sits near sigma^2 = 2
     ds = gen_sine(1)
@@ -335,60 +359,77 @@ def test_prefetched_chain_is_the_one_proposal_chain(monkeypatch):
 
 def test_prefetched_chain_replays_past_evaluated_neg_inf(monkeypatch):
     # evaluated proposals in bands of mu are -inf (with sigma^2 > 0): the
-    # walk stops there mid-draft, draws no uniform for them, and must put
-    # the generator back to keep the one-proposal chain
+    # walk stops there, on the draft's trunk or on a branch after an
+    # acceptance, draws no uniform for them, and must put the generator back
+    # to keep the one-proposal chain
     ds = gen_smooth_xor(0)
     template = NetworkHyper(0.0, 2, (LayerHyper(0.0, 1.0),) * 4, True)
 
     def banned(mu):
         return np.floor(4.0 * mu) % 3 == 0
 
-    stops = []
-    log_targets = hyper._log_targets
+    stops = []  # per banded stop: whether it fell on a branch
+    lazy_log_targets = hyper._lazy_log_targets
 
     def banded(X, y, net_template, prior, noise_var, mu, sigma2):
-        values, jitters, vanished = log_targets(X, y, net_template, prior,
-                                                noise_var, mu, sigma2)
-        assert np.all(values[~(sigma2 > 0.0)] == -np.inf)
-        values[banned(mu)] = -np.inf
-        stops.extend(np.flatnonzero(banned(mu)[:-1]))
-        return values, jitters, vanished
+        target = lazy_log_targets(X, y, net_template, prior, noise_var, mu,
+                                  sigma2)
+        asked = []
 
-    monkeypatch.setattr(hyper, "_log_targets", banded)
+        def banded_target(i):
+            # the walk asks for rows in increasing order; the trunk's rows
+            # come first, so a row past its place in that order is a branch's
+            assert not asked or i > asked[-1]
+            asked.append(i)
+            if sigma2[i] > 0.0 and banned(mu[i]):
+                stops.append(i != len(asked) - 1)
+                return -np.inf, 0.0, False
+            return target(i)
+
+        return banded_target
+
+    monkeypatch.setattr(hyper, "_lazy_log_targets", banded)
     logp = _unbatched_density(ds.X_train, ds.y_train, template, banned)
-    for seed in range(4):
+    for seed in range(6):
         config = MHConfig(burn_in=6, thin=4, n_samples=10, seed=seed)
         ref = _oracle_chain(logp, (-0.2, 2.0), config)
-        for prefetch in (1, 3, 8):
+        for prefetch in (1, 2, 3, 8):
             monkeypatch.setattr(hyper, "PREFETCH", prefetch)
             chain = mh_sample(ds.X_train, ds.y_train, template, HyperPrior(),
                               config, (-0.2, 2.0), 0.1)
             _assert_same_chain(chain, ref)
-    # evaluated -inf proposals sat before the last row of their draft
-    assert stops
+    # evaluated -inf proposals stopped the walk on the trunk and on branches
+    assert not all(stops) and any(stops)
 
 
 def test_mh_sample_scores_several_proposals_per_kernel_call(monkeypatch):
     # the hyper-fit benchmark's chain: 220 steps at depth 8 on Smooth XOR
     # from the grid MAP; one kernel call per evaluated proposal makes 209
-    # (221 less its 12 proposals with sigma^2 <= 0)
+    # (221 less its 12 proposals with sigma^2 <= 0), and the draft tree 40.
+    # The likelihood is evaluated once per evaluated step plus the initial
+    # state, 209 times; scoring every drafted row took 569
     ds = gen_smooth_xor(0)
     sub = LayerHyper(0.0, float(np.sqrt(2.0)))
     template = NetworkHyper(0.0, 2, (sub,) * 7 + (LayerHyper(0.0, 1.0),),
                             True)
     surface = grid_eval(ds.X_train, ds.y_train, template,
                         GridSpec(resolution=24), "log-posterior", 0.1)
-    calls = []
+    calls, likelihoods = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return kernel_matrix(*args, **kwargs)
+    def counting(record, fn):
+        def wrapped(*args, **kwargs):
+            record.append(None)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(hyper, "kernel_matrix", counting)
+    monkeypatch.setattr(hyper, "kernel_matrix", counting(calls, kernel_matrix))
+    monkeypatch.setattr(hyper, "_lml_from_gram",
+                        counting(likelihoods, _lml_from_gram))
     config = MHConfig(burn_in=20, thin=10, n_samples=20, seed=0)
     mh_sample(ds.X_train, ds.y_train, template, HyperPrior(), config,
               surface.argmax[:2], 0.1)
-    assert 0 < len(calls) <= 110
+    assert 0 < len(calls) <= 50
+    assert 0 < len(likelihoods) <= 210
 
 
 def test_marginal_predictive_point_mass_identity():
