@@ -51,20 +51,36 @@ class PosteriorPredictive:
     jitter: float = 0.0
 
 
+def _rung0(A):
+    # rung 0 of the jitter ladder over a matrix or a stack: A + 0.0, which
+    # turns a -0.0 into +0.0 as the jitter of every later rung does
+    return np.linalg.cholesky(A + 0.0)
+
+
 def _chol_with_jitter(K: np.ndarray):
     """Lower Cholesky factor of K, escalating diagonal jitter as needed.
 
     Returns (L, jitter_added).  Deep off-ridge kernels are severely
-    ill-conditioned, so plain factorisation routinely needs the ladder.
+    ill-conditioned, so plain factorisation routinely needs the ladder.  Its
+    rungs add eps times the mean diagonal; where that mean is not finite,
+    the ladder ends after rung 0.
     """
     if K.size == 0:
         return np.zeros((0, 0)), 0.0
     if not np.all(np.isfinite(K)):
         raise FactorizationError("gram matrix contains non-finite entries")
+    try:
+        return _rung0(K), 0.0
+    except np.linalg.LinAlgError:
+        pass
     scale = float(np.mean(np.diag(K)))
+    if not np.isfinite(scale):
+        raise FactorizationError(
+            "cholesky failed with no jitter, and the gram matrix's mean "
+            "diagonal is not finite")
     if scale <= 0.0:
         scale = 1.0
-    for eps in _JITTER_LADDER:
+    for eps in _JITTER_LADDER[1:]:
         try:
             L = np.linalg.cholesky(K + (eps * scale) * np.eye(K.shape[0]))
             return L, eps * scale
@@ -73,6 +89,27 @@ def _chol_with_jitter(K: np.ndarray):
     raise FactorizationError(
         f"cholesky failed for {K.shape[0]}x{K.shape[0]} gram matrix even "
         f"with jitter {_JITTER_LADDER[-1]:g} * mean diagonal")
+
+
+def _chol_stack(A):
+    """Slice j -> (L, jitter) of the (G, n, n) stack A, with the bits of
+    `_chol_with_jitter(A[j])`.
+
+    One cholesky call over the finite slices is every slice's rung 0.  If it
+    raises, each slice asked for walks `_chol_with_jitter`, as does a
+    non-finite slice, which raises FactorizationError there.
+    """
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    try:
+        L = _rung0(A[finite])
+    except np.linalg.LinAlgError:
+        return lambda j: _chol_with_jitter(A[j])
+    index = np.cumsum(finite) - 1
+
+    def factor(j):
+        return (L[index[j]], 0.0) if finite[j] else _chol_with_jitter(A[j])
+
+    return factor
 
 
 def sample_prior(Xstar, model: GPModel, n_draws: int, seed: int) -> np.ndarray:
@@ -103,17 +140,17 @@ def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
     k_ss = kernel_diag(Xstar, model.net)
     if X.shape[0] == 0:
         return PosteriorPredictive(np.zeros(Xstar.shape[0]), k_ss)
-    return _predict_from_grams(kernel_matrix(X, X, model.net),
-                               kernel_matrix(Xstar, X, model.net), k_ss,
-                               np.asarray(y, dtype=float), model.noise_var)
+    L, jit = _chol_with_jitter(kernel_matrix(X, X, model.net)
+                               + model.noise_var * np.eye(X.shape[0]))
+    return _predict_from_factor(L, jit, kernel_matrix(Xstar, X, model.net),
+                                k_ss, np.asarray(y, dtype=float))
 
 
-def _predict_from_grams(K_xx, K_sx, k_ss, y, noise_var: float):
-    # the posterior predictive from the noise-free Grams K_xx and K_sx and
-    # the test Gram's diagonal k_ss
-    if y.shape[0] != K_xx.shape[0]:
+def _predict_from_factor(L, jit, K_sx, k_ss, y):
+    # the posterior predictive from the factor L of K_xx + s^2 I (with jitter
+    # jit added), K_sx and k_ss
+    if y.shape[0] != L.shape[0]:
         raise ValueError("y length must match the training rows")
-    L, jit = _chol_with_jitter(K_xx + noise_var * np.eye(K_xx.shape[0]))
     alpha = sla.cho_solve((L, True), y)
     v = sla.solve_triangular(L, K_sx.T, lower=True)
     return PosteriorPredictive(K_sx @ alpha, k_ss - np.diag(v.T @ v), jit)
@@ -121,13 +158,16 @@ def _predict_from_grams(K_xx, K_sx, k_ss, y, noise_var: float):
 
 def _lml_from_gram(K, y, noise_var: float):
     # (log marginal likelihood, jitter) of y given the noise-free Gram K
-    n = K.shape[0]
-    L, jit = _chol_with_jitter(K + noise_var * np.eye(n))
+    L, jit = _chol_with_jitter(K + noise_var * np.eye(K.shape[0]))
+    return _lml_from_factor(L, y), jit
+
+
+def _lml_from_factor(L, y):
+    # log marginal likelihood of y from the factor L of K + s^2 I
     alpha = sla.cho_solve((L, True), y)
-    lml = (-0.5 * float(y @ alpha)
-           - float(np.sum(np.log(np.diag(L))))
-           - 0.5 * n * np.log(2.0 * np.pi))
-    return lml, jit
+    return (-0.5 * float(y @ alpha)
+            - float(np.sum(np.log(np.diag(L))))
+            - 0.5 * L.shape[0] * np.log(2.0 * np.pi))
 
 
 def log_marginal_likelihood(X, y, model: GPModel) -> float:

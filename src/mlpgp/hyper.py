@@ -12,8 +12,8 @@ from typing import Callable, ClassVar, Optional, Tuple
 import numpy as np
 
 from .data import NOISE_VAR
-from .gp import FactorizationError, GPModel, _lml_from_gram, \
-    _predict_from_grams
+from .gp import FactorizationError, GPModel, _chol_stack, _lml_from_factor, \
+    _predict_from_factor
 from .kernels import LayerHyper, NetworkHyper, _batch_slices, kernel_diag, \
     kernel_matrix
 
@@ -202,8 +202,11 @@ def _lazy_log_targets(X, y, net_template: NetworkHyper,
 
     The evaluated rows' Grams come a chunk at a time from one batched kernel
     call, made when a row of the chunk is first asked for, so rows asked for
-    in increasing order compute each chunk at most once.  The likelihood and
-    the hyper-prior are computed only at the rows asked for.
+    in increasing order compute each chunk at most once.  One stacked
+    Cholesky of the chunk's K + s^2 I (`gp._chol_stack`) then gives every
+    row's factor at rung 0 of the jitter ladder, and only a row asked for
+    walks the ladder when that call raises.  The likelihood and the
+    hyper-prior are computed only at the rows asked for.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -211,10 +214,10 @@ def _lazy_log_targets(X, y, net_template: NetworkHyper,
     rows = np.flatnonzero(evaluated)
     position = np.cumsum(evaluated) - 1  # of each evaluated row in `rows`
     chunks = _batch_slices(rows.size, X.shape[0] ** 2)
-    chunk, K, vanished = None, None, None  # the chunk last computed
+    chunk, factor, vanished = None, None, None  # the chunk last computed
 
     def target(i):
-        nonlocal chunk, K, vanished
+        nonlocal chunk, factor, vanished
         if not evaluated[i]:
             return -np.inf, 0.0, False
         k = position[i] // chunks[0].stop  # every chunk is that long
@@ -225,11 +228,13 @@ def _lazy_log_targets(X, y, net_template: NetworkHyper,
                                        sigma2[g, None, None])
                 chunk = k
                 K, vanished = kernel_matrix(X, X, net)
+                factor = _chol_stack(K + noise_var * np.eye(X.shape[0]))
             j = position[i] - chunks[k].start
             if vanished[j]:
                 return -np.inf, 0.0, True
             try:
-                lml, jit = _lml_from_gram(K[j], y, noise_var)
+                L, jit = factor(j)
+                lml = _lml_from_factor(L, y)
             except (FactorizationError, FloatingPointError):
                 return -np.inf, 0.0, False
             if not np.isfinite(lml):
@@ -428,8 +433,9 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
 
     Mixture mean averages the conditional means; the mixture variance is
     E[var] + E[mean^2] - (E[mean])^2 per test point.  The samples' Grams
-    come from batched kernel calls; samples whose signal vanished or whose
-    Gram cannot be factorised are skipped and counted.
+    come from batched kernel calls and their factors from one stacked
+    Cholesky per chunk; samples whose signal vanished or whose Gram cannot
+    be factorised are skipped and counted.
     """
     if len(chain) == 0:
         raise ValueError("chain is empty")
@@ -449,12 +455,13 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
         k_ss, vanished_ss = kernel_diag(Xstar, net)
         vanished |= vanished_sx | vanished_ss
         n_vanished += int(np.count_nonzero(vanished))
+        factor = _chol_stack(K_xx + noise_var * np.eye(X.shape[0]))
         for i in np.flatnonzero(~vanished):
             try:
-                pp = _predict_from_grams(K_xx[i], K_sx[i], k_ss[i], y,
-                                         noise_var)
+                L, jit = factor(i)
             except FactorizationError:
                 continue
+            pp = _predict_from_factor(L, jit, K_sx[i], k_ss[i], y)
             means.append(pp.mean)
             variances.append(pp.var)
     n_skipped = len(chain) - len(means)

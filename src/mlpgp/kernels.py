@@ -25,10 +25,14 @@ alone, so normalised angles are never stored internally.
 The moment maps form their elementwise terms (the linear, cross and absolute
 moments and their weighted sum) a block of `_PAIR_BLOCK` pair entries at a
 time, over the leading G and N axes, into one output array; calls of up to
-that many entries are one block.  Each point's m = t/s, Phi(m) and phi(m) are
-formed once per call, and the pairs read them by broadcasting.  The regular
-(off-colinear) pairs' Phi2 is one `special._bvn_cdf_at` call per layer, which
-keeps the bits of one `bvn_cdf` call per Gram (see `special` for why).
+that many entries are one block.  Each point's m = t/s, Phi(m), phi(m),
+erf(m/sqrt2), folded mean E|Q| and E[Z|Q|] (Q = Z + m) are formed once per
+layer, by `_point_terms`; the points' own second moments and means read
+them, and so do the pairs, by broadcasting.  The public single-pair maps
+form them from their operands, so each moment formula has one copy.  The
+regular (off-colinear) pairs' Phi2 is one `special._bvn_cdf_at` call per
+layer, which keeps the bits of one `bvn_cdf` call per Gram (see `special` for
+why).
 """
 
 import math
@@ -155,10 +159,29 @@ def linear_kernel(s1, s2, rho, t1, t2) -> ArrayLike:
     return s1 * s2 * rho + t1 * t2
 
 
+def _folded(mu_t, sigma_t, erf_m, pdf_m):
+    # E|G| for G ~ N(mu_t, sigma_t^2), from erf(m / sqrt2) and phi(m)
+    return mu_t * erf_m + 2.0 * sigma_t * pdf_m
+
+
+def _point_terms(s, t):
+    # the univariate terms of each point's pre-activation N(t, s^2), s > 0,
+    # for Q = Z + m with m = t/s and Z standard normal: the tuple
+    # (m, Phi(m), phi(m), erf(m / sqrt2), E|Q|, E[Z |Q|], E[Q^2]).  The moment
+    # maps read a point only through it; E[Z |Q|] = E[Q |Q|] - m E|Q| with
+    # E[Q |Q|] = 2 E[Theta(Q) Q^2] - E[Q^2]
+    m = t / s
+    cdf, pdf, erf_m = std_normal_cdf(m), std_normal_pdf(m), erf(m / _SQRT2)
+    e_abs = _folded(m, 1.0, erf_m, pdf)
+    e_q2 = 1.0 + m * m
+    e_q_abs = 2.0 * (e_q2 * cdf + m * pdf) - e_q2
+    return m, cdf, pdf, erf_m, e_abs, e_q_abs - m * e_abs, e_q2
+
+
 def folded_mean(mu_t, sigma_t) -> ArrayLike:
     """E|G| for G ~ N(mu_t, sigma_t^2), sigma_t > 0: the folded mean."""
-    mt = mu_t / sigma_t
-    return mu_t * erf(mt / _SQRT2) + 2.0 * sigma_t * std_normal_pdf(mt)
+    _, _, pdf, erf_m, *_ = _point_terms(sigma_t, mu_t)
+    return _folded(mu_t, sigma_t, erf_m, pdf)
 
 
 def _abs_moment_colinear(b1, b2):
@@ -183,16 +206,15 @@ def _at(v, mask):
     return np.asarray(v)[mask]
 
 
-def _abs_moment(s1, s2, rho, regular, m1, m2, phi2, cdf1, cdf2, pdf1, pdf2):
-    # E|G1||G2| of one block, from the parts of broadcast operands: the
-    # |rho| = 1 limit off `regular`, and on it the quadrant form, whose
-    # Phi2(m1, m2; rho) is phi2.  m1 = t1/s1 and m2 = t2/s2 are per point,
-    # and so are cdf and pdf, their Phi and phi
-    ss = s1 * s2
+def _abs_moment(rho, regular, p1, p2, phi2):
+    # E|Z1 + m1||Z2 + m2| of one block, for standard normals of correlation
+    # rho, from the parts of broadcast operands: the |rho| = 1 limit off
+    # `regular`, and on it the quadrant form, whose Phi2(m1, m2; rho) is phi2
+    (m1, cdf1, pdf1, *_), (m2, cdf2, pdf2, *_) = p1, p2
     colinear = ~regular
     if colinear.all():
         sign = np.where(rho > 0.0, 1.0, -1.0)
-        return ss * _abs_moment_colinear(m1, sign * m2)
+        return _abs_moment_colinear(m1, sign * m2)
     # the quadrant form over the whole block, with rho = 0 standing in at the
     # colinear pairs, which then take the limit
     r = np.where(regular, rho, 0.0)
@@ -202,12 +224,11 @@ def _abs_moment(s1, s2, rho, regular, m1, m2, phi2, cdf1, cdf2, pdf1, pdf2):
     total += 2.0 * m1 * pdf2 * erf((m1 - r * m2) / (_SQRT2 * st))
     total += 2.0 * m2 * pdf1 * erf((m2 - r * m1) / (_SQRT2 * st))
     total += 4.0 * sin2 * bvn_pdf(m1, m2, r)
-    out = ss * total
     if colinear.any():
         sign = np.where(rho > 0.0, 1.0, -1.0)
-        out[colinear] = _at(ss, colinear) * _abs_moment_colinear(
+        total[colinear] = _abs_moment_colinear(
             _at(m1, colinear), _at(sign * m2, colinear))
-    return out
+    return total
 
 
 def _row_blocks(shape, entries):
@@ -234,36 +255,55 @@ def _part(v, idx):
     return v[tuple(i if n > 1 else slice(None) for i, n in zip(sel, v.shape))]
 
 
-def _pair_blocks(moment, s1, s2, rho, t1, t2):
-    # moment(s1, s2, rho, t1, t2, E|G1||G2|) of each row block of the pairs'
-    # broadcast array, written into one array.  The regular pairs' Phi2 is
-    # one _bvn_cdf_at call over the whole array: a call per block would
-    # change the bits of the rows it puts in a call's tail
+def _pair_blocks(moment, s1, s2, rho, t1, t2, p1, p2):
+    # the pair map: moment(s1, s2, rho, t1, t2, p1, p2, E|Z1 + m1||Z2 + m2|)
+    # of each row block of the pairs' broadcast array, written into one
+    # array; p1 and p2 are the two points' `_point_terms`.  The regular
+    # pairs' Phi2 is one _bvn_cdf_at call over the whole array: a call per
+    # block would change the bits of the rows it puts in a call's tail
     ops = (s1, s2, rho, t1, t2)
     shape = np.broadcast(*ops).shape
-    m1, m2 = t1 / s1, t2 / s2
     # the pairs with sin theta >= SIN_THETA_TOL, or NaN, with no sqrt; it
     # needs the |rho| <= 1 that every caller keeps, as checked by
     # tests/test_kernels.py::test_moment_maps_receive_clipped_rho
     regular = ~((1.0 - rho) * (1.0 + rho) < _SIN2_THETA_TOL)
     if np.shape(regular) != shape:
         regular = np.broadcast_to(regular, shape)
-    per_point = (m1, m2) + (None,) * 5
-    if regular.any():
-        per_point = (m1, m2, _bvn_cdf_at(m1, m2, rho, regular),
-                     std_normal_cdf(m1), std_normal_cdf(m2),
-                     std_normal_pdf(m1), std_normal_pdf(m2))
+    phi2 = _bvn_cdf_at(p1[0], p2[0], rho, regular) if regular.any() else None
     out = np.empty(shape)
     for idx in _row_blocks(shape, _PAIR_BLOCK):
         parts = [_part(v, idx) for v in ops]
-        out[idx] = moment(*parts, _abs_moment(
-            *parts[:3], regular[idx], *(_part(v, idx) for v in per_point)))
+        q1, q2 = (tuple(_part(v, idx) for v in p) for p in (p1, p2))
+        out[idx] = moment(*parts, q1, q2, _abs_moment(
+            parts[2], regular[idx], q1, q2, _part(phi2, idx)))
     return out
+
+
+def _cross(ss, rho, p1, p2):
+    # E[G1 |G2|] = s1 s2 (rho E[Z2 |Q2|] + m1 E|Q2|) from the points' terms.
+    # Rotation trick: G1 = s1 (rho Z2 + m1 + sqrt(1 - rho^2) Z_perp)
+    return ss * (rho * p2[5] + p1[0] * p2[4])
+
+
+def _lrelu_sum(s1, s2, rho, t1, t2, p1, p2, e_abs, a):
+    # E[psi_a(G1) psi_a(G2)] from the split psi(z) = ((1+a) z + (1-a)|z|)/2:
+    # the quarter-weighted sum of the linear, two cross and absolute moments,
+    # with E|G1||G2| = s1 s2 e_abs
+    ss = s1 * s2
+    cross = _cross(ss, rho, p1, p2) + _cross(ss, rho, p2, p1)
+    return 0.25 * ((1.0 + a) ** 2 * linear_kernel(s1, s2, rho, t1, t2)
+                   + (1.0 - a * a) * cross
+                   + (1.0 - a) ** 2 * (ss * e_abs))
+
+
+def _lrelu_mean(t, s, p, a: float):
+    return 0.5 * ((1.0 + a) * t + (1.0 - a) * _folded(t, s, p[3], p[2]))
 
 
 def abs_kernel(s1, s2, rho, t1, t2) -> np.ndarray:
     """E|G1||G2| (folded Gaussian cross moment); s1, s2 > 0, |rho| <= 1."""
-    return _pair_blocks(lambda *ops: ops[-1], s1, s2, rho, t1, t2)
+    return _pair_blocks(lambda s1, s2, *ops: s1 * s2 * ops[-1], s1, s2, rho,
+                        t1, t2, _point_terms(s1, t1), _point_terms(s2, t2))
 
 
 def cross_term(s1, s2, rho, t1, t2) -> ArrayLike:
@@ -272,12 +312,7 @@ def cross_term(s1, s2, rho, t1, t2) -> ArrayLike:
     Domain: s1, s2 > 0 and |rho| <= 1.  Rotation trick: with Q = Z + t2/s2,
     the moment reduces to univariate folded moments E|Q| and E[Theta(Q) Q^2].
     """
-    m1 = t1 / s1
-    m2 = t2 / s2
-    e_abs_q = folded_mean(m2, 1.0)
-    e_theta_q2 = (1.0 + m2 * m2) * std_normal_cdf(m2) + m2 * std_normal_pdf(m2)
-    e_q_abs_q = 2.0 * e_theta_q2 - (1.0 + m2 * m2)
-    return s1 * s2 * (rho * (e_q_abs_q - m2 * e_abs_q) + m1 * e_abs_q)
+    return _cross(s1 * s2, rho, _point_terms(s1, t1), _point_terms(s2, t2))
 
 
 def lrelu_kernel(s1, s2, rho, t1, t2, a: float) -> ArrayLike:
@@ -287,20 +322,13 @@ def lrelu_kernel(s1, s2, rho, t1, t2, a: float) -> ArrayLike:
     split psi(z) = ((1+a) z + (1-a)|z|)/2 as the quarter-weighted sum of the
     linear, two cross, and absolute-value moments.
     """
-    def moment(s1, s2, rho, t1, t2, e_abs):
-        lin = linear_kernel(s1, s2, rho, t1, t2)
-        cross = cross_term(s1, s2, rho, t1, t2) \
-            + cross_term(s2, s1, rho, t2, t1)
-        return 0.25 * ((1.0 + a) ** 2 * lin
-                       + (1.0 - a * a) * cross
-                       + (1.0 - a) ** 2 * e_abs)
-
-    return _pair_blocks(moment, s1, s2, rho, t1, t2)
+    return _pair_blocks(lambda *ops: _lrelu_sum(*ops, a), s1, s2, rho, t1,
+                        t2, _point_terms(s1, t1), _point_terms(s2, t2))
 
 
 def lrelu_mean(mu_t, sigma_t, a: float) -> ArrayLike:
     """E[psi_a(G)] for G ~ N(mu_t, sigma_t^2), sigma_t > 0, -1 < a <= 1."""
-    return 0.5 * ((1.0 + a) * mu_t + (1.0 - a) * folded_mean(mu_t, sigma_t))
+    return _lrelu_mean(mu_t, sigma_t, _point_terms(sigma_t, mu_t), a)
 
 
 def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
@@ -327,10 +355,15 @@ def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
 
 
 def _moment_step(s, t, rho, rows, cols, a: float):
-    # LReLU moment maps of each point's own pre-activation (rho = 1) and of
-    # its mean, then of the pairs: the next (k, m, k_xy)
-    return (lrelu_kernel(s, s, 1.0, t, t, a), lrelu_mean(t, s, a),
-            lrelu_kernel(s[rows], s[cols], rho, t[rows], t[cols], a))
+    # each point's terms, once; from them the LReLU moment maps of each
+    # point's own pre-activation (rho = 1, where E|Q||Q| is E[Q^2]) and of its
+    # mean, then the pair map: the next (k, m, k_xy)
+    p = _point_terms(s, t)
+    return (_lrelu_sum(s, s, 1.0, t, t, p, p, p[6], a),
+            _lrelu_mean(t, s, p, a),
+            _pair_blocks(lambda *ops: _lrelu_sum(*ops, a), s[rows], s[cols],
+                         rho, t[rows], t[cols],
+                         *(tuple(v[i] for v in p) for i in (rows, cols))))
 
 
 def _sqrt_product(k_i, k_j):

@@ -3,8 +3,8 @@ import pytest
 from scipy import linalg as sla
 
 from mlpgp.data import gen_sine, gen_smooth_xor
-from mlpgp.gp import (FactorizationError, GPModel, _chol_with_jitter,
-                      circle_traversal,
+from mlpgp.gp import (FactorizationError, GPModel, _chol_stack,
+                      _chol_with_jitter, circle_traversal,
                       log_marginal_likelihood, perturbation_bound,
                       posterior_predictive, sample_prior)
 from mlpgp.kernels import LayerHyper, NetworkHyper, constant_hyper, \
@@ -185,6 +185,51 @@ def test_factorization_error_on_bad_matrix():
     with pytest.raises(FactorizationError):
         from mlpgp.gp import _chol_with_jitter
         _chol_with_jitter(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_chol_with_jitter_survives_an_overflowing_mean_diagonal():
+    # a finite Gram whose mean diagonal overflows factors at rung 0, as
+    # np.linalg.cholesky does; if rung 0 fails, the ladder ends there with a
+    # FactorizationError, not a NaN factor
+    K = np.diag([1e308, 1e308])
+    L, jit = _chol_with_jitter(K)
+    assert L.tobytes() == np.linalg.cholesky(K).tobytes()
+    assert jit == 0.0
+    with np.errstate(over="ignore"), pytest.raises(FactorizationError):
+        _chol_with_jitter(np.full((2, 2), 1e308))
+
+
+def _spd_stack(rng, g, n):
+    B = rng.standard_normal((g, n, n))
+    return B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(n)
+
+
+def test_chol_stack_has_the_bits_of_the_ladder_per_slice():
+    # each slice's (L, jitter), or its FactorizationError, is that of
+    # _chol_with_jitter on the slice: a stack that factors at rung 0 (one
+    # slice with -0.0 off the diagonal), one with a slice that needs jitter,
+    # so the stacked call raises, one with a non-finite slice and one with a
+    # slice that fails every rung
+    rng = np.random.default_rng(4)
+    base = _spd_stack(rng, 5, 4)
+    base[1] = np.diag([2.0, 3.0, 1.0, 5.0]) * np.where(np.eye(4), 1.0, -0.0)
+    singular, nan, negative = base.copy(), base.copy(), base.copy()
+    singular[2] = np.ones((4, 4))
+    nan[3, 0, 1] = np.nan
+    negative[0] = -np.eye(4)
+    for A in (base, singular, nan, negative):
+        factor = _chol_stack(A)
+        for j in range(len(A)):
+            try:
+                want = _chol_with_jitter(A[j])
+            except FactorizationError:
+                with pytest.raises(FactorizationError):
+                    factor(j)
+                continue
+            L, jit = factor(j)
+            assert L.tobytes() == want[0].tobytes()
+            assert jit == want[1]
+    assert _chol_with_jitter(singular[2])[1] > 0.0
 
 
 def test_perturbation_bound():

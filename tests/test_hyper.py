@@ -98,11 +98,11 @@ def test_all_failed_errors_name_both_counts(monkeypatch):
         marginal_predictive(ds.X_test, ds.X_train, ds.y_train, deep,
                             Chain(vanishing, np.zeros(2), 0.5), 0.1)
 
-    def fail(*args):
+    def fail(j):
         raise FactorizationError("not positive definite")
 
-    monkeypatch.setattr(hyper, "_lml_from_gram", fail)
-    monkeypatch.setattr(hyper, "_predict_from_grams", fail)
+    # every Gram of a chunk fails to factorise, whichever the row
+    monkeypatch.setattr(hyper, "_chol_stack", lambda A: fail)
     with pytest.raises(FactorizationError, match=r"\(1 signal vanished, 3 "
                        r"not factorisable or non-finite\)"):
         grid_eval(ds.X_train, ds.y_train, deep,
@@ -407,14 +407,15 @@ def test_mh_sample_scores_several_proposals_per_kernel_call(monkeypatch):
     # from the grid MAP; one kernel call per evaluated proposal makes 209
     # (221 less its 12 proposals with sigma^2 <= 0), and the draft tree 40.
     # The likelihood is evaluated once per evaluated step plus the initial
-    # state, 209 times; scoring every drafted row took 569
+    # state, 209 times; scoring every drafted row took 569.  Each kernel
+    # call's Grams are factored by at most one stacked Cholesky
     ds = gen_smooth_xor(0)
     sub = LayerHyper(0.0, float(np.sqrt(2.0)))
     template = NetworkHyper(0.0, 2, (sub,) * 7 + (LayerHyper(0.0, 1.0),),
                             True)
     surface = grid_eval(ds.X_train, ds.y_train, template,
                         GridSpec(resolution=24), "log-posterior", 0.1)
-    calls, likelihoods = [], []
+    calls, likelihoods, stacks = [], [], []
 
     def counting(record, fn):
         def wrapped(*args, **kwargs):
@@ -423,13 +424,16 @@ def test_mh_sample_scores_several_proposals_per_kernel_call(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(hyper, "kernel_matrix", counting(calls, kernel_matrix))
-    monkeypatch.setattr(hyper, "_lml_from_gram",
-                        counting(likelihoods, _lml_from_gram))
+    monkeypatch.setattr(hyper, "_lml_from_factor",
+                        counting(likelihoods, gp._lml_from_factor))
+    monkeypatch.setattr(hyper, "_chol_stack",
+                        counting(stacks, gp._chol_stack))
     config = MHConfig(burn_in=20, thin=10, n_samples=20, seed=0)
     mh_sample(ds.X_train, ds.y_train, template, HyperPrior(), config,
               surface.argmax[:2], 0.1)
     assert 0 < len(calls) <= 50
     assert 0 < len(likelihoods) <= 210
+    assert 0 < len(stacks) <= len(calls)
 
 
 def test_marginal_predictive_point_mass_identity():

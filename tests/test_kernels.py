@@ -721,17 +721,17 @@ def test_kernel_diag_batch_equals_slices():
 
 def test_moment_maps_receive_clipped_rho(monkeypatch):
     # the moment maps trust |rho| <= 1: the first layer, every hidden layer
-    # and the diagonal pairs hand lrelu_kernel a rho clipped into [-1, 1]
-    real = kernels.lrelu_kernel
+    # and the diagonal pairs hand the pair map a rho clipped into [-1, 1]
+    real = kernels._pair_blocks
     n_calls = 0
 
-    def checked(s1, s2, rho, t1, t2, a):
+    def checked(moment, s1, s2, rho, *ops):
         nonlocal n_calls
         assert np.all(np.abs(rho) <= 1.0)
         n_calls += 1
-        return real(s1, s2, rho, t1, t2, a)
+        return real(moment, s1, s2, rho, *ops)
 
-    monkeypatch.setattr(kernels, "lrelu_kernel", checked)
+    monkeypatch.setattr(kernels, "_pair_blocks", checked)
     mus, sig2s = np.linspace(-2.5, 1.0, 3), np.linspace(0.1, 8.0, 3)
     mu_b, s2_b = (g.ravel() for g in np.meshgrid(mus, sig2s))
     for ds in (gen_sine(0), gen_smooth_xor(0)):
@@ -773,11 +773,13 @@ def test_regular_mask_needs_no_square_root():
 
 
 def test_each_layer_maps_every_point_and_pair_once(monkeypatch):
-    # a hidden LReLU layer makes one lrelu_kernel call for the points' own
-    # second moments, one for the pairs' and one lrelu_mean call, whether Y
-    # is X, Y is another set or only the diagonal pairs are asked for
-    calls = {"lrelu_kernel": 0, "lrelu_mean": 0}
-    for name in calls:
+    # a hidden LReLU layer forms its points' terms in one call, which its
+    # points' own moments and means read, and maps its pairs in one pair-map
+    # call, whether Y is X, Y is another set or only the diagonal pairs are
+    # asked for
+    names = ("_point_terms", "_lrelu_mean", "_pair_blocks")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, real=getattr(kernels, name), name=name):
             calls[name] += 1
             return real(*args)
@@ -795,10 +797,30 @@ def test_each_layer_maps_every_point_and_pair_once(monkeypatch):
         for evaluate in (lambda: kernel_matrix(X, X, net),
                          lambda: kernel_matrix(Xs, X, net),
                          lambda: kernel_diag(Xs, net)):
-            calls.update(lrelu_kernel=0, lrelu_mean=0)
+            calls.update(dict.fromkeys(names, 0))
             evaluate()
-            assert calls == {"lrelu_kernel": 2 * (depth - 1),
-                             "lrelu_mean": depth - 1}
+            assert calls == dict.fromkeys(names, depth - 1)
+
+
+def test_point_moments_are_the_public_moment_maps():
+    # the recursion's per-point (k, m), read from each point's terms, has the
+    # bits of lrelu_kernel(s, s, 1, t, t, a) and lrelu_mean(t, s, a), and its
+    # pairs those of lrelu_kernel on the same operands: t/s over [-8, 8],
+    # for X with itself, X with Y and the diagonal pairs, batched and not
+    rng = np.random.default_rng(23)
+    X, Y = rng.standard_normal((40, 3)), rng.standard_normal((25, 3))
+    for layer in (LayerHyper(0.0, 1.3),
+                  LayerHyper(0.0, _batch([0.4, 1.3, 2.2]))):
+        for y in (X, Y, None):
+            s, _, rho, rows, cols = _first_layer_preactivation(X, y, layer, 3)
+            ratio = rng.permutation(np.linspace(-8.0, 8.0, s.size))
+            t = s * ratio.reshape(s.shape)
+            for a in (-0.5, 0.0, 0.3):
+                k, m, k_xy = _moment_step(s, t, rho, rows, cols, a)
+                assert k.tobytes() == lrelu_kernel(s, s, 1.0, t, t, a).tobytes()
+                assert m.tobytes() == lrelu_mean(t, s, a).tobytes()
+                want = lrelu_kernel(s[rows], s[cols], rho, t[rows], t[cols], a)
+                assert k_xy.tobytes() == want.tobytes()
 
 
 def test_y_equal_to_x_is_decided_by_value():
