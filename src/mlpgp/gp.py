@@ -112,6 +112,17 @@ def _chol_stack(A):
     return factor
 
 
+def _training_set(X, y):
+    # X as a 2-D float array and y as a 1-D float array with one value per
+    # row of X: the rule for training targets, checked where they enter
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if y.shape != X.shape[:1]:
+        raise ValueError(f"y must be 1-D with one value per training row: "
+                         f"got shape {y.shape} for {X.shape[0]} rows")
+    return X, y
+
+
 def sample_prior(Xstar, model: GPModel, n_draws: int, seed: int) -> np.ndarray:
     """Draw n_draws functions from the GP prior at the rows of Xstar.
 
@@ -136,21 +147,19 @@ def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
     diagonal is computed.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X, y = _training_set(X, y)
     k_ss = kernel_diag(Xstar, model.net)
     if X.shape[0] == 0:
         return PosteriorPredictive(np.zeros(Xstar.shape[0]), k_ss)
     L, jit = _chol_with_jitter(kernel_matrix(X, X, model.net)
                                + model.noise_var * np.eye(X.shape[0]))
     return _predict_from_factor(L, jit, kernel_matrix(Xstar, X, model.net),
-                                k_ss, np.asarray(y, dtype=float))
+                                k_ss, y)
 
 
 def _predict_from_factor(L, jit, K_sx, k_ss, y):
     # the posterior predictive from the factor L of K_xx + s^2 I (with jitter
     # jit added), K_sx and k_ss
-    if y.shape[0] != L.shape[0]:
-        raise ValueError("y length must match the training rows")
     alpha = sla.cho_solve((L, True), y)
     v = sla.solve_triangular(L, K_sx.T, lower=True)
     return PosteriorPredictive(K_sx @ alpha, k_ss - np.diag(v.T @ v), jit)
@@ -172,9 +181,9 @@ def _lml_from_factor(L, y):
 
 def log_marginal_likelihood(X, y, model: GPModel) -> float:
     """Gaussian log marginal likelihood of y under the model at inputs X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _lml_from_gram(kernel_matrix(X, X, model.net),
-                          np.asarray(y, dtype=float), model.noise_var)[0]
+    X, y = _training_set(X, y)
+    return _lml_from_gram(kernel_matrix(X, X, model.net), y,
+                          model.noise_var)[0]
 
 
 def perturbation_bound(Xstar, X, y, net: NetworkHyper, c1: float, c2: float,
@@ -196,8 +205,7 @@ def perturbation_bound(Xstar, X, y, net: NetworkHyper, c1: float, c2: float,
     if s < 0.0:
         raise ValueError("noise std-dev must be non-negative")
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y = _training_set(X, y)
     K_xx = kernel_matrix(X, X, net)
     K_sx = kernel_matrix(Xstar, X, net)
     eigs = np.linalg.eigvalsh(K_xx)

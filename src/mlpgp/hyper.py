@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import NOISE_VAR
 from .gp import FactorizationError, GPModel, _chol_stack, _lml_from_factor, \
-    _predict_from_factor
+    _predict_from_factor, _training_set
 from .kernels import LayerHyper, NetworkHyper, _batch_slices, kernel_diag, \
     kernel_matrix
 
@@ -196,9 +196,10 @@ def _lazy_log_targets(X, y, net_template: NetworkHyper,
                       prior: Optional[HyperPrior], noise_var: float, mu,
                       sigma2) -> Callable:
     """Row i -> (log p(y | mu, sigma^2) [+ log hyper-prior], jitter, vanished)
-    at (mu[i], sigma2[i]) of the 1-D arrays mu, sigma2; -inf, with jitter 0,
-    where `_evaluated` is false, the signal vanished, the Gram is not
-    factorisable or the value not finite.
+    at (mu[i], sigma2[i]) of the 1-D arrays mu, sigma2, for X and y as
+    `gp._training_set` returns them; -inf, with jitter 0, where `_evaluated`
+    is false, the signal vanished, the Gram is not factorisable or the value
+    not finite.
 
     The evaluated rows' Grams come a chunk at a time from one batched kernel
     call, made when a row of the chunk is first asked for, so rows asked for
@@ -208,8 +209,6 @@ def _lazy_log_targets(X, y, net_template: NetworkHyper,
     walks the ladder when that call raises.  The likelihood and the
     hyper-prior are computed only at the rows asked for.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
     evaluated = _evaluated(mu, sigma2)
     rows = np.flatnonzero(evaluated)
     position = np.cumsum(evaluated) - 1  # of each evaluated row in `rows`
@@ -266,6 +265,7 @@ def gp_log_posterior(X, y, net_template: NetworkHyper,
     matrix cannot be factorised, so the result plugs straight into MH.
     """
     GPModel(net_template, noise_var)  # rejects a bad noise variance
+    X, y = _training_set(X, y)
 
     def logp(theta) -> float:
         return _lazy_log_targets(X, y, net_template, prior, noise_var,
@@ -286,6 +286,7 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     if target not in ("log-ml", "log-posterior"):
         raise ValueError("target must be 'log-ml' or 'log-posterior'")
     GPModel(net_template, noise_var)  # rejects a bad noise variance
+    X, y = _training_set(X, y)
     prior = HyperPrior() if target == "log-posterior" else None
     mu_axis, sig2_axis = spec.axes()
     mu, sig2 = (a.ravel() for a in np.meshgrid(mu_axis, sig2_axis,
@@ -417,6 +418,7 @@ def mh_sample(X, y, net_template: NetworkHyper, prior: HyperPrior,
     computed only at the proposals the chain makes.
     """
     GPModel(net_template, noise_var)  # rejects a bad noise variance
+    X, y = _training_set(X, y)
 
     def densities(thetas):
         target = _lazy_log_targets(X, y, net_template, prior, noise_var,
@@ -441,8 +443,7 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
         raise ValueError("chain is empty")
     GPModel(net_template, noise_var)  # rejects a bad noise variance
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y = _training_set(X, y)
     mu, sigma2 = chain.samples.T
     means, variances = [], []
     n_vanished = 0

@@ -3,11 +3,12 @@
 Single-layer second moments for linear / absolute-value / leaky-ReLU units
 under Gaussian pre-activations with non-zero means, and the deep recursion
 behind `deep_kernel`, `kernel_matrix` and `kernel_diag`.  The internal moment
-maps take a pre-activation pair (G1, G2) with std-devs s1, s2, correlation
-rho and means t1, t2 as plain broadcast-compatible floats or arrays, and
-check nothing: `LayerHyper`, `NetworkHyper` and the recursion's zero-norm
-and vanished-signal checks keep them on their domain.  They trust rho too:
-each caller clips it into [-1, 1] once, where it forms it.
+maps take a pre-activation pair (G1, G2) as its correlation rho and each
+point's terms (`_point_terms` of its std-dev s and mean t), plain
+broadcast-compatible floats or arrays, and check nothing: `LayerHyper`,
+`NetworkHyper` and the recursion's input and vanished-signal checks keep
+them on their domain.  They trust rho too: each caller clips it into
+[-1, 1] once, where it forms it.
 
 The recursion is one loop in `_recurse` over the hidden layers.  It carries
 three arrays: each point's own post-activation second moment k and mean m,
@@ -23,9 +24,10 @@ call.  With non-zero means the kernel is not a function of the input angle
 alone, so normalised angles are never stored internally.
 
 The moment maps form their elementwise terms (the linear, cross and absolute
-moments and their weighted sum) a block of `_PAIR_BLOCK` pair entries at a
-time, over the leading G and N axes, into one output array; calls of up to
-that many entries are one block.  Each point's m = t/s, Phi(m), phi(m),
+moments and their weighted sum) a block of rows of the pair array at a time,
+each block the same rows of every leading slice and at most `_PAIR_BLOCK`
+entries (or one row), into one output array; calls of up to that many
+entries are one block.  Each point's s, t, m = t/s, Phi(m), phi(m),
 erf(m/sqrt2), folded mean E|Q| and E[Z|Q|] (Q = Z + m) are formed once per
 layer, by `_point_terms`; the points' own second moments and means read
 them, and so do the pairs, by broadcasting.  The public single-pair maps
@@ -35,7 +37,6 @@ layer, which keeps the bits of one `bvn_cdf` call per Gram (see `special` for
 why).
 """
 
-import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -159,29 +160,28 @@ def linear_kernel(s1, s2, rho, t1, t2) -> ArrayLike:
     return s1 * s2 * rho + t1 * t2
 
 
-def _folded(mu_t, sigma_t, erf_m, pdf_m):
-    # E|G| for G ~ N(mu_t, sigma_t^2), from erf(m / sqrt2) and phi(m)
-    return mu_t * erf_m + 2.0 * sigma_t * pdf_m
-
-
 def _point_terms(s, t):
     # the univariate terms of each point's pre-activation N(t, s^2), s > 0,
     # for Q = Z + m with m = t/s and Z standard normal: the tuple
-    # (m, Phi(m), phi(m), erf(m / sqrt2), E|Q|, E[Z |Q|], E[Q^2]).  The moment
-    # maps read a point only through it; E[Z |Q|] = E[Q |Q|] - m E|Q| with
-    # E[Q |Q|] = 2 E[Theta(Q) Q^2] - E[Q^2]
+    # (s, t, m, Phi(m), phi(m), erf(m / sqrt2), E|Q|, E[Z |Q|], E[Q^2]).  The
+    # moment maps read a point only through it; E[Z |Q|] = E[Q |Q|] - m E|Q|
+    # with E[Q |Q|] = 2 E[Theta(Q) Q^2] - E[Q^2]
     m = t / s
     cdf, pdf, erf_m = std_normal_cdf(m), std_normal_pdf(m), erf(m / _SQRT2)
-    e_abs = _folded(m, 1.0, erf_m, pdf)
+    e_abs = m * erf_m + 2.0 * pdf
     e_q2 = 1.0 + m * m
     e_q_abs = 2.0 * (e_q2 * cdf + m * pdf) - e_q2
-    return m, cdf, pdf, erf_m, e_abs, e_q_abs - m * e_abs, e_q2
+    return s, t, m, cdf, pdf, erf_m, e_abs, e_q_abs - m * e_abs, e_q2
+
+
+def _folded(p):
+    # E|G| for the point's G ~ N(t, s^2), from erf(m / sqrt2) and phi(m)
+    return p[1] * p[5] + 2.0 * p[0] * p[4]
 
 
 def folded_mean(mu_t, sigma_t) -> ArrayLike:
     """E|G| for G ~ N(mu_t, sigma_t^2), sigma_t > 0: the folded mean."""
-    _, _, pdf, erf_m, *_ = _point_terms(sigma_t, mu_t)
-    return _folded(mu_t, sigma_t, erf_m, pdf)
+    return _folded(_point_terms(sigma_t, mu_t))
 
 
 def _abs_moment_colinear(b1, b2):
@@ -198,19 +198,11 @@ def _abs_moment_colinear(b1, b2):
     return 1.0 + b1 * b2 - 2.0 * mid
 
 
-def _at(v, mask):
-    # operand v's values at the True entries of mask, which has the broadcast
-    # array's shape, in C order
-    if np.shape(v) != mask.shape:
-        return np.broadcast_to(v, mask.shape)[mask]
-    return np.asarray(v)[mask]
-
-
 def _abs_moment(rho, regular, p1, p2, phi2):
     # E|Z1 + m1||Z2 + m2| of one block, for standard normals of correlation
     # rho, from the parts of broadcast operands: the |rho| = 1 limit off
     # `regular`, and on it the quadrant form, whose Phi2(m1, m2; rho) is phi2
-    (m1, cdf1, pdf1, *_), (m2, cdf2, pdf2, *_) = p1, p2
+    (_, _, m1, cdf1, pdf1, *_), (_, _, m2, cdf2, pdf2, *_) = p1, p2
     colinear = ~regular
     if colinear.all():
         sign = np.where(rho > 0.0, 1.0, -1.0)
@@ -226,69 +218,56 @@ def _abs_moment(rho, regular, p1, p2, phi2):
     total += 4.0 * sin2 * bvn_pdf(m1, m2, r)
     if colinear.any():
         sign = np.where(rho > 0.0, 1.0, -1.0)
-        total[colinear] = _abs_moment_colinear(
-            _at(m1, colinear), _at(sign * m2, colinear))
+        b1, b2 = (np.broadcast_to(b, total.shape)[colinear]
+                  for b in (m1, sign * m2))
+        total[colinear] = _abs_moment_colinear(b1, b2)
     return total
 
 
-def _row_blocks(shape, entries):
-    # index tuples over all but the last axis of `shape`, in C order: blocks
-    # of at most `entries` entries, or of one row; () is the whole array
-    if len(shape) < 2 or math.prod(shape) <= entries:
-        return [()]
-    inner = math.prod(shape[1:])
-    if inner <= entries:
-        step = entries // max(1, inner)
-        return [(slice(lo, lo + step),) + (slice(None),) * (len(shape) - 2)
-                for lo in range(0, shape[0], step)]
-    return [(slice(lo, lo + 1), *rest) for lo in range(shape[0])
-            for rest in _row_blocks(shape[1:], entries)]
-
-
-def _part(v, idx):
-    # operand v's part of block idx of the broadcast array; v's broadcast
-    # axes stay whole
-    if not idx:
-        return v
-    v = np.asarray(v)
-    sel = idx[len(idx) + 1 - v.ndim:]
-    return v[tuple(i if n > 1 else slice(None) for i, n in zip(sel, v.shape))]
-
-
-def _pair_blocks(moment, s1, s2, rho, t1, t2, p1, p2):
-    # the pair map: moment(s1, s2, rho, t1, t2, p1, p2, E|Z1 + m1||Z2 + m2|)
-    # of each row block of the pairs' broadcast array, written into one
-    # array; p1 and p2 are the two points' `_point_terms`.  The regular
+def _pair_blocks(moment, rho, p1, p2):
+    # the pair map: moment(rho, p1, p2, E|Z1 + m1||Z2 + m2|) over the pairs'
+    # broadcast array, where p1 and p2 are the two points' `_point_terms`,
+    # written into one array in blocks of rows (axis -2) across every leading
+    # axis, each of at most _PAIR_BLOCK entries or one row.  The regular
     # pairs' Phi2 is one _bvn_cdf_at call over the whole array: a call per
     # block would change the bits of the rows it puts in a call's tail
-    ops = (s1, s2, rho, t1, t2)
-    shape = np.broadcast(*ops).shape
+    shape = np.broadcast(rho, p1[2], p2[2]).shape
     # the pairs with sin theta >= SIN_THETA_TOL, or NaN, with no sqrt; it
     # needs the |rho| <= 1 that every caller keeps, as checked by
     # tests/test_kernels.py::test_moment_maps_receive_clipped_rho
     regular = ~((1.0 - rho) * (1.0 + rho) < _SIN2_THETA_TOL)
     if np.shape(regular) != shape:
         regular = np.broadcast_to(regular, shape)
-    phi2 = _bvn_cdf_at(p1[0], p2[0], rho, regular) if regular.any() else None
+    phi2 = _bvn_cdf_at(p1[2], p2[2], rho, regular) if regular.any() else None
     out = np.empty(shape)
-    for idx in _row_blocks(shape, _PAIR_BLOCK):
-        parts = [_part(v, idx) for v in ops]
-        q1, q2 = (tuple(_part(v, idx) for v in p) for p in (p1, p2))
-        out[idx] = moment(*parts, q1, q2, _abs_moment(
-            parts[2], regular[idx], q1, q2, _part(phi2, idx)))
+    if out.ndim < 2 or out.size <= _PAIR_BLOCK:
+        out[...] = moment(rho, p1, p2, _abs_moment(rho, regular, p1, p2, phi2))
+        return out
+    step = max(1, _PAIR_BLOCK * shape[-2] // out.size)
+    for lo in range(0, shape[-2], step):
+        rows = np.s_[..., lo:lo + step, :]
+
+        def part(v):
+            # v's rows in the block; a broadcast row axis stays whole
+            return v[rows] if np.ndim(v) > 1 and np.shape(v)[-2] > 1 else v
+
+        r, q1, q2 = part(rho), tuple(map(part, p1)), tuple(map(part, p2))
+        out[rows] = moment(r, q1, q2, _abs_moment(r, regular[rows], q1, q2,
+                                                  part(phi2)))
     return out
 
 
 def _cross(ss, rho, p1, p2):
     # E[G1 |G2|] = s1 s2 (rho E[Z2 |Q2|] + m1 E|Q2|) from the points' terms.
     # Rotation trick: G1 = s1 (rho Z2 + m1 + sqrt(1 - rho^2) Z_perp)
-    return ss * (rho * p2[5] + p1[0] * p2[4])
+    return ss * (rho * p2[7] + p1[2] * p2[6])
 
 
-def _lrelu_sum(s1, s2, rho, t1, t2, p1, p2, e_abs, a):
+def _lrelu_sum(rho, p1, p2, e_abs, a):
     # E[psi_a(G1) psi_a(G2)] from the split psi(z) = ((1+a) z + (1-a)|z|)/2:
     # the quarter-weighted sum of the linear, two cross and absolute moments,
     # with E|G1||G2| = s1 s2 e_abs
+    (s1, t1, *_), (s2, t2, *_) = p1, p2
     ss = s1 * s2
     cross = _cross(ss, rho, p1, p2) + _cross(ss, rho, p2, p1)
     return 0.25 * ((1.0 + a) ** 2 * linear_kernel(s1, s2, rho, t1, t2)
@@ -296,14 +275,14 @@ def _lrelu_sum(s1, s2, rho, t1, t2, p1, p2, e_abs, a):
                    + (1.0 - a) ** 2 * (ss * e_abs))
 
 
-def _lrelu_mean(t, s, p, a: float):
-    return 0.5 * ((1.0 + a) * t + (1.0 - a) * _folded(t, s, p[3], p[2]))
+def _lrelu_mean(p, a: float):
+    return 0.5 * ((1.0 + a) * p[1] + (1.0 - a) * _folded(p))
 
 
 def abs_kernel(s1, s2, rho, t1, t2) -> np.ndarray:
     """E|G1||G2| (folded Gaussian cross moment); s1, s2 > 0, |rho| <= 1."""
-    return _pair_blocks(lambda s1, s2, *ops: s1 * s2 * ops[-1], s1, s2, rho,
-                        t1, t2, _point_terms(s1, t1), _point_terms(s2, t2))
+    return _pair_blocks(lambda rho, p1, p2, e_abs: p1[0] * p2[0] * e_abs, rho,
+                        _point_terms(s1, t1), _point_terms(s2, t2))
 
 
 def cross_term(s1, s2, rho, t1, t2) -> ArrayLike:
@@ -322,13 +301,13 @@ def lrelu_kernel(s1, s2, rho, t1, t2, a: float) -> ArrayLike:
     split psi(z) = ((1+a) z + (1-a)|z|)/2 as the quarter-weighted sum of the
     linear, two cross, and absolute-value moments.
     """
-    return _pair_blocks(lambda *ops: _lrelu_sum(*ops, a), s1, s2, rho, t1,
-                        t2, _point_terms(s1, t1), _point_terms(s2, t2))
+    return _pair_blocks(lambda *ops: _lrelu_sum(*ops, a), rho,
+                        _point_terms(s1, t1), _point_terms(s2, t2))
 
 
 def lrelu_mean(mu_t, sigma_t, a: float) -> ArrayLike:
     """E[psi_a(G)] for G ~ N(mu_t, sigma_t^2), sigma_t > 0, -1 < a <= 1."""
-    return _lrelu_mean(mu_t, sigma_t, _point_terms(sigma_t, mu_t), a)
+    return _lrelu_mean(_point_terms(sigma_t, mu_t), a)
 
 
 def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
@@ -343,6 +322,8 @@ def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
     if np.array_equal(x, ys):
         ys = x
     pts = x if ys is x else np.concatenate((x, ys))
+    if not np.isfinite(pts).all():
+        raise ValueError("inputs must be finite")
     r = np.linalg.norm(pts, axis=1)[:, None]
     if (r == 0.0).any():
         raise DegenerateInputError("zero-norm input has no first-layer signal")
@@ -359,10 +340,8 @@ def _moment_step(s, t, rho, rows, cols, a: float):
     # point's own pre-activation (rho = 1, where E|Q||Q| is E[Q^2]) and of its
     # mean, then the pair map: the next (k, m, k_xy)
     p = _point_terms(s, t)
-    return (_lrelu_sum(s, s, 1.0, t, t, p, p, p[6], a),
-            _lrelu_mean(t, s, p, a),
-            _pair_blocks(lambda *ops: _lrelu_sum(*ops, a), s[rows], s[cols],
-                         rho, t[rows], t[cols],
+    return (_lrelu_sum(1.0, p, p, p[8], a), _lrelu_mean(p, a),
+            _pair_blocks(lambda *ops: _lrelu_sum(*ops, a), rho,
                          *(tuple(v[i] for v in p) for i in (rows, cols))))
 
 

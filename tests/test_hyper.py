@@ -230,6 +230,36 @@ def test_level_two_entry_points_reject_a_bad_noise_variance(monkeypatch):
                 call(noise_var)
 
 
+def test_entry_points_reject_a_misshapen_y(monkeypatch):
+    # every entry point that takes training targets checks, before any
+    # kernel call, that y is 1-D with one value per training row
+    ds = gen_smooth_xor(0)
+    deep = NetworkHyper(0.0, 2, (LayerHyper(0.0, 1.0),) * 4, True)
+    X = ds.X_train
+    chain = Chain(np.array([[-0.5, 2.0]]), np.zeros(1), 1.0)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel call")
+
+    for module in (gp, hyper):
+        for name in ("kernel_matrix", "kernel_diag"):
+            monkeypatch.setattr(module, name, no_kernel)
+    model = GPModel(deep, 0.1)
+    entry_points = (
+        lambda y: grid_eval(X, y, deep, GridSpec(resolution=5)),
+        lambda y: gp_log_posterior(X, y, deep, HyperPrior(), 0.1),
+        lambda y: mh_sample(X, y, deep, HyperPrior(), MHConfig(), (-0.5, 2.0)),
+        lambda y: marginal_predictive(ds.X_test, X, y, deep, chain),
+        lambda y: gp.posterior_predictive(ds.X_test, X, y, model),
+        lambda y: gp.log_marginal_likelihood(X, y, model),
+        lambda y: gp.perturbation_bound(ds.X_test, X, y, deep, 0.8, 1.3, 0.1))
+    y = ds.y_train
+    for call in entry_points:
+        for bad in (y[:-1], np.append(y, 0.0), y[:, None]):
+            with pytest.raises(ValueError, match="one value per training row"):
+                call(bad)
+
+
 def test_grid_constrained_max_tracks_stable_ridge():
     # for deeper nets the mu = 0 evidence maximum sits near sigma^2 = 2
     ds = gen_sine(1)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -59,6 +60,12 @@ def test_abs_kernel_examples():
     want = folded_mean(1.0, 1.0) * folded_mean(-0.5, 1.0)
     assert abs(got - want) < 1e-14
     assert abs(abs_kernel(1.3, 0.8, -0.35, 0.7, -1.1) - ABS_GENERIC) < 1e-12
+    # scalar scales and rho with array means: the means alone set the shape
+    t1, t2 = np.linspace(-2.0, 2.0, 5)[:, None], np.array([[-0.5, 0.0, 1.5]])
+    got = abs_kernel(1.0, 1.3, 0.0, t1, t2)
+    assert got.shape == (5, 3)
+    assert np.allclose(got, folded_mean(t1, 1.0) * folded_mean(t2, 1.3),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_abs_kernel_colinear_limits():
@@ -89,6 +96,15 @@ def test_lrelu_kernel():
     assert abs(got - 1 / np.pi) < 1e-14
     assert abs(lrelu_kernel(1, 1, 1.0, 0.0, 0.0, 0.0) - 0.5) < 1e-14
     assert abs(lrelu_kernel(*p, -0.25) - LRELU_GENERIC) < 1e-12
+    # at rho = 0 the moment factorises; scalar scales and rho with array
+    # means, where the means alone set the shape
+    t1, t2 = np.linspace(-2.0, 2.0, 5), np.array([[-0.5], [0.0], [1.5]])
+    for a in (-0.5, 0.0, 0.3):
+        got = lrelu_kernel(0.7, 1.2, 0.0, t1, t2, a)
+        assert got.shape == (3, 5)
+        want = lrelu_mean(t1, 0.7, a) * lrelu_mean(t2, 1.2, a)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
+    assert lrelu_kernel(1.0, 1.0, 1.0, t1, t1, 0.0).shape == t1.shape
 
 
 def test_lrelu_kernel_scale_equivariance():
@@ -176,6 +192,25 @@ def test_first_layer_preactivation_degenerate_input():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateInputError):
         kernel_matrix(X, X, net)
+
+
+def test_non_finite_inputs_are_rejected():
+    # an inf or NaN entry in X or Y raises, as a zero-norm row does, for one
+    # net and for a batch, instead of filling its rows of K with NaN
+    nets = (constant_hyper(-0.5, 1.0, 3, 2),
+            NetworkHyper(0.0, 2, (LayerHyper(_batch([-0.5, 0.5]), 1.0),) * 3))
+    good = np.array([[1.0, 0.5], [0.3, -2.0]])
+    for bad in (np.inf, -np.inf, np.nan):
+        X = np.array([[1.0, 0.5], [bad, 1.0], [0.3, -2.0]])
+        for net in nets:
+            for call in (lambda: kernel_matrix(X, X, net),
+                         lambda: kernel_matrix(good, X, net),
+                         lambda: kernel_matrix(X, good, net),
+                         lambda: kernel_diag(X, net)):
+                with pytest.raises(ValueError, match="finite"):
+                    call()
+        with pytest.raises(ValueError, match="finite"):
+            deep_kernel(X[1], X[0], nets[0])
 
 
 def test_moment_step_relu_unit():
@@ -725,11 +760,11 @@ def test_moment_maps_receive_clipped_rho(monkeypatch):
     real = kernels._pair_blocks
     n_calls = 0
 
-    def checked(moment, s1, s2, rho, *ops):
+    def checked(moment, rho, p1, p2):
         nonlocal n_calls
         assert np.all(np.abs(rho) <= 1.0)
         n_calls += 1
-        return real(moment, s1, s2, rho, *ops)
+        return real(moment, rho, p1, p2)
 
     monkeypatch.setattr(kernels, "_pair_blocks", checked)
     mus, sig2s = np.linspace(-2.5, 1.0, 3), np.linspace(0.1, 8.0, 3)
@@ -752,6 +787,56 @@ def test_moment_maps_receive_clipped_rho(monkeypatch):
                     except VanishedSignalError:
                         pass
     assert n_calls > 0
+
+
+def test_pair_map_blocks_the_row_axis_across_leading_axes(monkeypatch):
+    # the pair map forms its terms a block of rows (axis -2) at a time, each
+    # block across every leading axis: on a (G, N, M) batch with G N M >
+    # _PAIR_BLOCK > N M, and on a (600, 600) Gram.  At the default block size
+    # and at one entry less than a row, every entry is written once, no block
+    # holds more than _PAIR_BLOCK entries unless it is one row, and the result
+    # has the bits of one whole-array block.  rho's entries are distinct, so
+    # each names its pair, and lie on both branches of the absolute moment
+    rng = np.random.default_rng(31)
+    default = kernels._PAIR_BLOCK
+
+    def distinct_rho(shape):
+        ends = 1.0 - np.spacing(0.5) * np.arange(40)  # colinear branch
+        n = math.prod(shape) - 2 * ends.size
+        rho = np.concatenate((np.linspace(-0.999, 0.999, n), ends, -ends))
+        return rng.permutation(rho).reshape(shape)
+
+    def points(shape):
+        s = rng.uniform(0.5, 2.0, shape)
+        return kernels._point_terms(s, s * rng.uniform(-3.0, 3.0, shape))
+
+    G, N, M = 36, 40, 40
+    cases = ((distinct_rho((G, N, M)), points((G, N, 1)), points((1, M))),
+             (distinct_rho((600, 600)), points((600, 1)), points((1, 600))))
+    for rho, p1, p2 in cases:
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", 2 ** 62)
+        want = kernels._pair_blocks(lambda *ops: kernels._lrelu_sum(*ops, 0.3),
+                                    rho, p1, p2)
+        row = rho.size // rho.shape[-2]
+        for entries in (default, row - 1):
+            monkeypatch.setattr(kernels, "_PAIR_BLOCK", entries)
+            seen, blocks = [], []
+
+            def moment(r, q1, q2, e_abs):
+                seen.append(np.broadcast_to(r, e_abs.shape).ravel())
+                blocks.append(e_abs.shape)
+                return kernels._lrelu_sum(r, q1, q2, e_abs, 0.3)
+
+            got = kernels._pair_blocks(moment, rho, p1, p2)
+            assert len(blocks) > 1
+            assert np.array_equal(np.sort(np.concatenate(seen)),
+                                  np.sort(rho, None))
+            assert all(b[:-2] == rho.shape[:-2] and b[-1] == rho.shape[-1]
+                       for b in blocks)
+            assert all(math.prod(b) <= entries or b[-2] == 1
+                       for b in blocks)
+            assert got.tobytes() == want.tobytes()
+    assert G * N * M > default > N * M
 
 
 def test_regular_mask_needs_no_square_root():
