@@ -65,8 +65,6 @@ def _chol_with_jitter(K: np.ndarray):
     rungs add eps times the mean diagonal; where that mean is not finite,
     the ladder ends after rung 0.
     """
-    if K.size == 0:
-        return np.zeros((0, 0)), 0.0
     if not np.all(np.isfinite(K)):
         raise FactorizationError("gram matrix contains non-finite entries")
     try:
@@ -149,8 +147,6 @@ def posterior_predictive(Xstar, X, y, model: GPModel) -> PosteriorPredictive:
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     X, y = _training_set(X, y)
     k_ss = kernel_diag(Xstar, model.net)
-    if X.shape[0] == 0:
-        return PosteriorPredictive(np.zeros(Xstar.shape[0]), k_ss)
     L, jit = _chol_with_jitter(kernel_matrix(X, X, model.net)
                                + model.noise_var * np.eye(X.shape[0]))
     return _predict_from_factor(L, jit, kernel_matrix(Xstar, X, model.net),
@@ -200,10 +196,10 @@ def perturbation_bound(Xstar, X, y, net: NetworkHyper, c1: float, c2: float,
 
     in the spectral norm, valid under the proviso r_c < 1 for both scales.
     """
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("scales must be positive")
-    if s < 0.0:
-        raise ValueError("noise std-dev must be non-negative")
+    if not (0.0 < c1 < np.inf and 0.0 < c2 < np.inf):
+        raise ValueError("scales must be positive and finite")
+    if not 0.0 <= s < np.inf:
+        raise ValueError("noise std-dev must be non-negative and finite")
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     X, y = _training_set(X, y)
     K_xx = kernel_matrix(X, X, net)

@@ -72,8 +72,10 @@ class MHConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.burn_in, self.thin, self.n_samples) < 1:
-            raise ValueError("burn_in, thin and n_samples must be >= 1")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1
+                   for n in (self.burn_in, self.thin, self.n_samples)):
+            raise ValueError("burn_in, thin and n_samples must be integers "
+                             ">= 1")
 
 
 @dataclass
@@ -192,6 +194,17 @@ def _evaluated(mu, sigma2):
     return np.isfinite(mu) & (sigma2 > 0.0) & (sigma2 < np.inf)
 
 
+def _chunk_factors(X, net_template: NetworkHyper, noise_var: float, mu,
+                   sigma2):
+    """A chunk's nets at the 1-D arrays mu and sigma2, the vanished mask of
+    their Grams on X and the stacked factor of K + s^2 I (`gp._chol_stack`).
+    """
+    net = substitute_hyper(net_template, mu[:, None, None],
+                           sigma2[:, None, None])
+    K, vanished = kernel_matrix(X, X, net)
+    return net, vanished, _chol_stack(K + noise_var * np.eye(X.shape[0]))
+
+
 def _lazy_log_targets(X, y, net_template: NetworkHyper,
                       prior: Optional[HyperPrior], noise_var: float, mu,
                       sigma2) -> Callable:
@@ -223,11 +236,9 @@ def _lazy_log_targets(X, y, net_template: NetworkHyper,
         with np.errstate(over="ignore", invalid="ignore"):
             if chunk != k:
                 g = rows[chunks[k]]
-                net = substitute_hyper(net_template, mu[g, None, None],
-                                       sigma2[g, None, None])
+                _, vanished, factor = _chunk_factors(
+                    X, net_template, noise_var, mu[g], sigma2[g])
                 chunk = k
-                K, vanished = kernel_matrix(X, X, net)
-                factor = _chol_stack(K + noise_var * np.eye(X.shape[0]))
             j = position[i] - chunks[k].start
             if vanished[j]:
                 return -np.inf, 0.0, True
@@ -243,18 +254,6 @@ def _lazy_log_targets(X, y, net_template: NetworkHyper,
         return lml, jit, False
 
     return target
-
-
-def _log_targets(X, y, net_template: NetworkHyper,
-                 prior: Optional[HyperPrior], noise_var: float, mu, sigma2):
-    """Values, jitters and vanished mask of `_lazy_log_targets` at every
-    row, one batched kernel call per chunk.
-    """
-    target = _lazy_log_targets(X, y, net_template, prior, noise_var, mu,
-                               sigma2)
-    values, jitters, vanished = np.reshape(
-        [target(i) for i in range(mu.size)], (mu.size, 3)).T
-    return values, jitters, vanished.astype(bool)
 
 
 def gp_log_posterior(X, y, net_template: NetworkHyper,
@@ -291,8 +290,9 @@ def grid_eval(X, y, net_template: NetworkHyper, spec: GridSpec,
     mu_axis, sig2_axis = spec.axes()
     mu, sig2 = (a.ravel() for a in np.meshgrid(mu_axis, sig2_axis,
                                                indexing="ij"))
-    values, jitters, vanished = _log_targets(X, y, net_template, prior,
-                                             noise_var, mu, sig2)
+    target = _lazy_log_targets(X, y, net_template, prior, noise_var, mu, sig2)
+    values, jitters, vanished = np.reshape(
+        [target(i) for i in range(mu.size)], (mu.size, 3)).T
     values = values.reshape(mu_axis.size, sig2_axis.size)
     n_failed = int(np.count_nonzero(values == -np.inf))
     n_vanished = int(np.count_nonzero(vanished))
@@ -449,14 +449,12 @@ def marginal_predictive(Xstar, X, y, net_template: NetworkHyper, chain: Chain,
     n_vanished = 0
     entries = max(Xstar.shape[0], X.shape[0]) * X.shape[0]
     for chunk in _batch_slices(len(chain), entries):
-        net = substitute_hyper(net_template, mu[chunk, None, None],
-                               sigma2[chunk, None, None])
-        K_xx, vanished = kernel_matrix(X, X, net)
+        net, vanished, factor = _chunk_factors(X, net_template, noise_var,
+                                               mu[chunk], sigma2[chunk])
         K_sx, vanished_sx = kernel_matrix(Xstar, X, net)
         k_ss, vanished_ss = kernel_diag(Xstar, net)
         vanished |= vanished_sx | vanished_ss
         n_vanished += int(np.count_nonzero(vanished))
-        factor = _chol_stack(K_xx + noise_var * np.eye(X.shape[0]))
         for i in np.flatnonzero(~vanished):
             try:
                 L, jit = factor(i)

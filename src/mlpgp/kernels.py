@@ -14,14 +14,16 @@ The recursion is one loop in `_recurse` over the hidden layers.  It carries
 three arrays: each point's own post-activation second moment k and mean m,
 of shape (P, 1), and the pairs' second moments k_xy, of shape (N, M), or
 (N, 1) for `kernel_diag`'s pairs (x_i, x_i).  The points are X's rows, then
-Y's, or X's alone when Y equals X or for `kernel_diag`.  A pair reads its
-points through (N, 1) and (1, M) views, so each layer maps every point's
-moments once and every pair's once.  A hidden layer's pre-activation has
-s = sigma sqrt(k), means mu m and, for pair (i, j), rho = k_xy /
-sqrt(k_i k_j).  A batch of G nets (`LayerHyper` values of shape (G, 1, 1))
-puts G in front of every shape, and each slice keeps the bits of its own
-call.  With non-zero means the kernel is not a function of the input angle
-alone, so normalised angles are never stored internally.
+Y's, or X's alone when Y equals X or for `kernel_diag`.  Whether Y equals X
+is decided once, by value, in `_first_layer_preactivation`, and `_recurse`
+reads that decision to symmetrise the Gram.  A pair reads its points through
+(N, 1) and (1, M) views, so each layer maps every point's moments once and
+every pair's once.  A hidden layer's pre-activation has s = sigma sqrt(k),
+means mu m and, for pair (i, j), rho = k_xy / sqrt(k_i k_j).  A batch of G
+nets (`LayerHyper` values of shape (G, 1, 1)) puts G in front of every
+shape, and each slice keeps the bits of its own call.  With non-zero means
+the kernel is not a function of the input angle alone, so normalised angles
+are never stored internally.
 
 The moment maps form their elementwise terms (the linear, cross and absolute
 moments and their weighted sum) a block of rows of the pair array at a time,
@@ -311,10 +313,10 @@ def lrelu_mean(mu_t, sigma_t, a: float) -> ArrayLike:
 
 
 def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
-    # each point's (s, t) as (..., P, 1) arrays, the pairs' rho, and the
-    # indices that view a per-point array as the pairs' x and y operands.  y
-    # None gives the diagonal pairs (x_i, x_i), with rho from the same gemm as
-    # the full Gram's; a y equal to x by value is x; else x's rows, then y's
+    # each point's (s, t) as (..., P, 1) arrays, the pairs' rho, the indices
+    # viewing a per-point array as the pairs' x and y operands, and whether Y
+    # is X.  y None gives the diagonal pairs (x_i, x_i), rho from the full
+    # Gram's gemm; a y equal to x by value is x; else x's rows, then y's
     x = np.atleast_2d(np.asarray(x, dtype=float))
     ys = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != n0 or ys.shape[1] != n0:
@@ -332,7 +334,8 @@ def _first_layer_preactivation(x, y, layer: LayerHyper, n0: int):
     xy = np.diag(x @ x.T)[:, None] if y is None else x @ ys.T
     s = (layer.sigma / np.sqrt(n0)) * r
     t = layer.mu * np.mean(pts, axis=1)[:, None]
-    return s, t, np.clip(xy / (r[rows] * r[cols]), -1.0, 1.0), rows, cols
+    return (s, t, np.clip(xy / (r[rows] * r[cols]), -1.0, 1.0), rows, cols,
+            y is not None and ys is x)
 
 
 def _moment_step(s, t, rho, rows, cols, a: float):
@@ -364,7 +367,7 @@ def _recurse(x, y, net: NetworkHyper):
     layers = net.layers
     vanished = np.zeros(np.broadcast_shapes(*(
         np.shape(v) for lay in layers for v in (lay.mu, lay.sigma)))[:1], bool)
-    s, t, rho, rows, cols = _first_layer_preactivation(
+    s, t, rho, rows, cols, square = _first_layer_preactivation(
         x, y, layers[0], net.input_dim)
     last_hidden = len(layers) - 1 if net.final_layer_linear else len(layers)
     if last_hidden == 0:
@@ -393,8 +396,7 @@ def _recurse(x, y, net: NetworkHyper):
         k_xy = out.sigma ** 2 * k_xy + out.mu ** 2 * m[rows] * m[cols]
     if vanished.ndim:
         k_xy[vanished] = np.nan
-    if y is not None and k_xy.shape[-1] == s.shape[-2]:
-        # Y is X (its M points are all P points): K is symmetric in every bit
+    if square:  # Y is X: K is symmetric in every bit
         k_xy = 0.5 * (k_xy + np.swapaxes(k_xy, -1, -2))
     return k_xy, vanished
 

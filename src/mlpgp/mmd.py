@@ -312,6 +312,7 @@ def convergence_experiment(scheme: WeightScheme, depth: int,
     if d_probe < 1:
         raise ValueError("need d_probe >= 1 probe point")
     _check_n_perm(n_perm)
+    limiting_hyper(scheme, depth, input_dim, a)  # rejects a bad a or input_dim
     root = np.random.SeedSequence(seed)
     probe_ss, gp_root, perm_root, mlp_root = root.spawn(4)
     S = np.random.default_rng(probe_ss).standard_normal((d_probe, input_dim))

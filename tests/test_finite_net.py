@@ -5,7 +5,7 @@ from mlpgp.finite_net import (END_SIGMA, IIDGaussian, NetworkShape,
                               SampledNetwork, activations, dump_weights,
                               forward, get_scheme, layer_prior, load_weights,
                               sample_weights)
-from mlpgp.kernels import arccos_reference
+from mlpgp.kernels import arccos_reference, constant_hyper, kernel_matrix
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -168,6 +168,33 @@ def test_forward_empirical_kernel_matches_limit():
         g = acts @ acts.T / acts.shape[1]
         vals.append(g[0, 1] / np.sqrt(g[0, 0] * g[1, 1]))
     assert abs(np.mean(vals) - arccos_reference(theta, 0.0, 1)) < 0.05
+
+
+@pytest.mark.parametrize("mu, sigma2, a", [(-1.05, 3.06, 0.0),
+                                            (-1.05, 3.06, 0.3),
+                                            (0.5, 1.5, 0.0), (0.5, 1.5, 0.3)])
+def test_wide_iid_networks_have_the_limiting_kernel_at_depth(mu, sigma2, a):
+    # the paper's first claim layer by layer: the empirical kernel h h^T / n
+    # of wide iid networks with non-zero-mean weights tends to
+    # kernel_matrix(..., final_layer_linear=False) at hidden layers 1-4, at
+    # the 1/sqrt(n) rate.  The mean relative Frobenius error over 256, 256
+    # and 16 nets at widths 64, 256 and 1024 falls 3.7-4.5x from 64 to 1024
+    # at every layer, and error sqrt(width) stays in 1.8-4.6
+    X = np.random.default_rng(10).standard_normal((4, 10))
+    scheme = IIDGaussian(mu, np.sqrt(sigma2))
+    want = [kernel_matrix(X, X, constant_hyper(mu, np.sqrt(sigma2), l, 10, a,
+                                               False)) for l in range(1, 5)]
+    widths, errors = (64, 256, 1024), np.zeros((3, 4))  # width by layer
+    for i, (width, n_nets) in enumerate(zip(widths, (256, 256, 16))):
+        for seed in range(n_nets):
+            netw = sample_weights(NetworkShape(10, (width,) * 4), scheme, a,
+                                  seed)
+            for l, h in enumerate(activations(netw, X)[:4]):
+                errors[i, l] += (np.linalg.norm(h @ h.T / width - want[l])
+                                 / np.linalg.norm(want[l]) / n_nets)
+    assert np.all(errors[0] / errors[-1] >= 3.4)
+    scaled = errors * np.sqrt(widths)[:, None]
+    assert 1.5 <= scaled.min() and scaled.max() <= 5.5
 
 
 def test_sampling_determinism_and_substreams():

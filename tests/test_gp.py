@@ -261,6 +261,21 @@ def test_perturbation_bound_proviso():
         perturbation_bound(Xs, X, y, net, 1e-4, 1.0, 10.0)
 
 
+def test_perturbation_bound_rejects_non_finite_numbers():
+    # a nan scale or noise std-dev passed the c <= 0 and s < 0 checks and
+    # gave (nan, nan)
+    rng = np.random.default_rng(13)
+    X, Xs = rng.normal(size=(5, 3)), rng.normal(size=(3, 3))
+    y = rng.normal(size=5)
+    net = _simple_net(depth=3, dim=3)
+    for bad in (np.nan, np.inf):
+        for c1, c2 in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="scales"):
+                perturbation_bound(Xs, X, y, net, c1, c2, 0.05)
+        with pytest.raises(ValueError, match="noise std-dev"):
+            perturbation_bound(Xs, X, y, net, 0.8, 1.3, bad)
+
+
 def test_circle_traversal():
     pts = circle_traversal(10, 64, seed=5)
     assert pts.shape == (64, 10)

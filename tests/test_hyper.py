@@ -168,6 +168,12 @@ def test_grid_eval_cells_match_gp_log_posterior(monkeypatch):
             assert type(res.n_vanished) is int
 
 
+def _every_target(*args):
+    # (values, jitters, vanished) of _lazy_log_targets at every row, in order
+    target = hyper._lazy_log_targets(*args)
+    return np.array([target(i) for i in range(args[-1].size)]).T
+
+
 def test_log_targets_leaves_invalid_points_unevaluated(monkeypatch):
     # sigma^2 <= 0 and nan or inf coordinates come back -inf with jitter 0
     # and not vanished, never reach kernel_matrix, and leave the bits of the
@@ -188,18 +194,18 @@ def test_log_targets_leaves_invalid_points_unevaluated(monkeypatch):
 
     monkeypatch.setattr(hyper, "kernel_matrix", recording)
     args = (ds.X_train, ds.y_train, deep, HyperPrior(), 0.1)
-    values, jitters, vanished = hyper._log_targets(*args, mu, s2)
+    values, jitters, vanished = _every_target(*args, mu, s2)
     assert sizes == [2, 2, 1]
     assert np.all(values[invalid] == -np.inf)
     assert np.all(jitters[invalid] == 0.0) and not np.any(vanished[invalid])
     assert np.all(np.isfinite(values[~invalid]))
-    alone = hyper._log_targets(*args, mu[~invalid], s2[~invalid])
+    alone = _every_target(*args, mu[~invalid], s2[~invalid])
     for got, ref in zip((values, jitters, vanished), alone):
         assert np.array_equal(got[~invalid], ref)
     # every row invalid: no kernel call at all
     sizes.clear()
-    values = hyper._log_targets(*args, np.array([0.0, np.inf]),
-                                np.array([-2.0, 1.0]))[0]
+    values = _every_target(*args, np.array([0.0, np.inf]),
+                           np.array([-2.0, 1.0]))[0]
     assert sizes == [] and np.all(values == -np.inf)
     for init in ((0.0, 0.0), (0.0, -1.0), (np.nan, 2.0)):
         with pytest.raises(ValueError, match="zero target density"):
@@ -626,3 +632,42 @@ def test_config_validation():
                  (0.0, 1.0, np.nan, 2.0)):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(ends[:2], ends[2:], 3)
+
+
+def test_mh_config_counts_must_be_integers():
+    # a fractional thin gave 50 samples of 100 with no error, and a
+    # fractional burn_in a TypeError inside the MH draft
+    for bad in (dict(thin=2.5), dict(burn_in=2.5), dict(n_samples=10.0),
+                dict(burn_in=np.nan), dict(thin=np.float64(3.0))):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            MHConfig(**bad)
+    cfg = MHConfig(burn_in=np.int64(5), thin=np.int32(2), n_samples=3)
+    ch = random_walk_mh(lambda th: -0.5 * float(th @ th), (0.0, 0.0), cfg)
+    assert len(ch) == 3
+
+
+def test_empty_inputs_take_the_general_path():
+    # no test points gives empty Grams, means and variances, batched and
+    # not (an empty X was taken for X itself and symmetrised); no training
+    # points gives a +0.0 mean, the prior variance and jitter 0
+    ds = gen_smooth_xor(0)
+    X, y, Xs = ds.X_train, ds.y_train, ds.X_test
+    none = np.zeros((0, 2))
+    template = NetworkHyper(0.0, 2, (LayerHyper(0.0, 1.0),) * 4, True)
+    net = substitute_hyper(template, -0.4, 2.1)
+    batch = substitute_hyper(template, np.array([-0.4, 0.3])[:, None, None],
+                             np.array([2.1, 1.2])[:, None, None])
+    assert kernel_matrix(none, X, net).shape == (0, len(X))
+    K, vanished = kernel_matrix(none, X, batch)
+    assert K.shape == (2, 0, len(X)) and vanished.shape == (2,)
+    model = GPModel(net, 0.1)
+    chain = Chain(np.array([[-0.4, 2.1], [0.3, 1.2]]), np.zeros(2), 0.5)
+    for pred in (posterior_predictive(none, X, y, model),
+                 marginal_predictive(none, X, y, template, chain, 0.1)):
+        assert pred.mean.shape == pred.var.shape == (0,)
+    pp = posterior_predictive(Xs, none, np.zeros(0), model)
+    assert pp.mean.tobytes() == np.zeros(len(Xs)).tobytes()
+    assert pp.var.tobytes() == kernels.kernel_diag(Xs, net).tobytes()
+    assert pp.jitter == 0.0
+    lml = log_marginal_likelihood(none, np.zeros(0), model)
+    assert lml == 0.0 and np.signbit(lml)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from mlpgp.kernels import (VANISHED_TOL, DegenerateInputError, LayerHyper,
                            NetworkHyper, VanishedSignalError,
@@ -18,8 +19,8 @@ from mlpgp import kernels, special
 from mlpgp.data import gen_sine, gen_smooth_xor
 from mlpgp.gp import circle_traversal
 
-from _oracles import bivariate_mc, bivariate_moment_oracle, leaky_relu, \
-    univariate_expect, weightspace_kernel_mc
+from _oracles import bivariate_mc, bivariate_moment_oracle, bvn_cdf_oracle, \
+    leaky_relu, univariate_expect, weightspace_kernel_mc
 
 SQRT2 = np.sqrt(2.0)
 
@@ -146,12 +147,90 @@ def test_monte_carlo_agreement_single_layer_moments():
             assert abs(func(s1, s2, rho, t1, t2) - est) < 4.0 * se + 1e-12
 
 
+# step of the central differences that the derivative oracles check
+DIFF_STEP = 1e-5
+
+
+def _rho_derivative_errors(points):
+    # per (s1, s2, rho, m1, m2, a): |central difference of lrelu_kernel in rho
+    # - Price's form| over its tolerance.  Price's theorem gives d/drho
+    # E[psi(G1) psi(G2)] = s1 s2 E[psi'(G1) psi'(G2)] = s1 s2 [a^2 + a (1 - a)
+    # (Phi(m1) + Phi(m2)) + (1 - a)^2 Phi2(m1, m2; rho)].  The tolerance is
+    # 1e-10 s1 s2 max(1, |m1 m2|), the rounding of the difference at the scale
+    # of the terms that cancel, plus its truncation h^2 f'''/6, where f''' =
+    # (1 - a)^2 s1 s2 d phi2 / drho is at most (1 - a)^2 s1 s2 (1 - rho^2)^-1.5
+    # / (2 pi) times a factor of order 1 near rho = +-1
+    h = DIFF_STEP
+    out = []
+    for s1, s2, rho, m1, m2, a in points:
+        t1, t2 = m1 * s1, m2 * s2
+        diff = (lrelu_kernel(s1, s2, rho + h, t1, t2, a)
+                - lrelu_kernel(s1, s2, rho - h, t1, t2, a)) / (2 * h)
+        want = s1 * s2 * (a * a + a * (1 - a) * (norm.cdf(m1) + norm.cdf(m2))
+                          + (1 - a) ** 2 * bvn_cdf_oracle(m1, m2, rho))
+        tol = s1 * s2 * (1e-10 * max(1.0, abs(m1 * m2))
+                         + (1 - a) ** 2 * h * h * (1 - rho * rho) ** -1.5 / 10)
+        out.append(abs(diff - want) / tol)
+    return np.array(out)
+
+
+def _random_points(rng, n, rho, m):
+    # n points (s1, s2, rho, m1, m2, a) with s in [0.3, 2], a in {-0.5, 0,
+    # 0.3}, rho from rho(rng) and both m = t/s uniform over the range m
+    return [(*rng.uniform(0.3, 2.0, 2), rho(rng), *rng.uniform(*m, 2),
+             rng.choice([-0.5, 0.0, 0.3])) for _ in range(n)]
+
+
+def _edge_points():
+    # 1 - |rho| in {1e-2, 1e-3, 1e-4}, on and off the ridge m1 = +-m2 where
+    # Phi2 bends fastest
+    return [(0.7, 1.3, sign * (1 - delta), m, sign * m + dm, a)
+            for a in (-0.5, 0.0, 0.3) for delta in (1e-2, 1e-3, 1e-4)
+            for sign in (1, -1) for m in (0.0, -1.5)
+            for dm in (0.0, 0.3)]
+
+
+def test_lrelu_kernel_rho_derivative_is_prices():
+    # |rho| <= 0.9 with |t/s| <= 10; the negative-mean tail, t/s in [-8, -2.5]
+    # for both points, where the derivative is Phi2-small but the tolerance
+    # stays at the scale s1 s2 m1 m2 of the cancelling terms; and rho near +-1
+    rng = np.random.default_rng(14)
+    bulk = _random_points(rng, 100, lambda r: r.uniform(-0.9, 0.9), (-10, 10))
+    tail = _random_points(rng, 40, lambda r: r.uniform(-0.9, 0.9), (-8, -2.5))
+    for points in (bulk, tail, _edge_points()):
+        assert _rho_derivative_errors(points).max() <= 1.0
+
+
+def _mean_derivative_errors(points):
+    # per (s, m, a): |central difference of lrelu_mean in t - (a + (1 - a)
+    # Phi(t/s))| over 1e-10 max(1, |t|), the rounding of the difference at
+    # the scale of t.  In the negative-mean tail the mean is a t plus a
+    # Phi-small part that cancels, so the bound stays absolute there
+    h = DIFF_STEP
+    out = []
+    for s, m, a in points:
+        t = m * s
+        diff = (lrelu_mean(t + h, s, a) - lrelu_mean(t - h, s, a)) / (2 * h)
+        out.append(abs(diff - (a + (1 - a) * norm.cdf(m)))
+                   / (1e-10 * max(1.0, abs(t))))
+    return np.array(out)
+
+
+def test_lrelu_mean_t_derivative_is_prices():
+    # t/s in [-2.5, 10] and the negative-mean tail [-8, -2.5]
+    rng = np.random.default_rng(15)
+    for m in ((-2.5, 10.0), (-8.0, -2.5)):
+        points = [(rng.uniform(0.3, 2.0), rng.uniform(*m),
+                   rng.choice([-0.5, 0.0, 0.3])) for _ in range(200)]
+        assert _mean_derivative_errors(points).max() <= 1.0
+
+
 def _pair_step(s1, s2, rho, t1, t2, a):
     # _moment_step on two points and the one pair between them, viewed as
     # _first_layer_preactivation views a row of X and a row of Y:
     # (k_xx, k_yy, k_xy, m_x, m_y)
-    *_, rows, cols = _first_layer_preactivation([1.0], [2.0],
-                                                LayerHyper(0.0, 1.0), 1)
+    *_, rows, cols, _ = _first_layer_preactivation([1.0], [2.0],
+                                                   LayerHyper(0.0, 1.0), 1)
     k, m, k_xy = _moment_step(np.array([[s1], [s2]]), np.array([[t1], [t2]]),
                               np.array([[rho]]), rows, cols, a)
     return k[0, 0], k[1, 0], k_xy[0, 0], m[0, 0], m[1, 0]
@@ -897,7 +976,8 @@ def test_point_moments_are_the_public_moment_maps():
     for layer in (LayerHyper(0.0, 1.3),
                   LayerHyper(0.0, _batch([0.4, 1.3, 2.2]))):
         for y in (X, Y, None):
-            s, _, rho, rows, cols = _first_layer_preactivation(X, y, layer, 3)
+            s, _, rho, rows, cols, _ = _first_layer_preactivation(X, y,
+                                                                  layer, 3)
             ratio = rng.permutation(np.linspace(-8.0, 8.0, s.size))
             t = s * ratio.reshape(s.shape)
             for a in (-0.5, 0.0, 0.3):

@@ -338,6 +338,22 @@ def test_convergence_experiment_small():
                                n_perm=5)
 
 
+def test_convergence_experiment_checks_the_limit_before_sampling(
+        monkeypatch):
+    # input_dim 0 divided by zero in the sampler, and a slope outside (-1, 1)
+    # was rejected only after one width's finite networks were sampled
+    def no_sampling(*args):
+        raise AssertionError("finite networks sampled")
+
+    monkeypatch.setattr(mmd, "_mlp_samples", no_sampling)
+    for scheme in (get_scheme("f2"), get_scheme("f4"), IIDGaussian(0.5, 1.2)):
+        with pytest.raises(ValueError, match="input_dim"):
+            convergence_experiment(scheme, 4, (8,), n_samples=10, input_dim=0)
+        for a in (1.5, -1.0, np.nan):
+            with pytest.raises(ValueError, match="slope"):
+                convergence_experiment(scheme, 4, (8,), n_samples=10, a=a)
+
+
 def test_convergence_experiment_random_hyper_scheme():
     res = convergence_experiment(get_scheme("f4", f4_sigma="analytic"), 3,
                                  (32, 128), d_probe=3, n_samples=200,

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,17 @@ def test_quadrature_layout_stays_in_special():
              for name in _names_read(ast.parse(path.read_text()))
              if name in layout or name.startswith("bvn_cdf(")]
     assert found == []
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # importing the package stays cheap: none of these is loaded.  A fresh
+    # interpreter, because this test process has loaded scipy.stats already
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+             "scipy.interpolate", "mpmath")
+    code = ("import sys, mlpgp; print(' '.join(m for m in "
+            f"{heavy!r} if m in sys.modules))")
+    src = str(Path(mlpgp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []
